@@ -216,3 +216,29 @@ func TestFingerprintStability(t *testing.T) {
 		t.Fatal("different systems should not collide on n±1")
 	}
 }
+
+// TestH3FactorizationCount pins the shifted-factorization counter of
+// two quadratic reductions with K3 > 0. The H3 resolvent chains run in
+// the Schur coordinates of G1 and factor nothing, so H1, H2 and the H3
+// moment table share the one (G1 − s0·I) factorization; a per-eigenvalue
+// factorization of (G1 − τI) creeping back into the H3 path would read
+// here as one more factor per Schur block of G1.
+func TestH3FactorizationCount(t *testing.T) {
+	for _, tc := range []struct {
+		w          *avtmor.Workload
+		k1, k2, k3 int
+		want       int64
+	}{
+		{avtmor.NTLVoltage(50), 7, 4, 2, 1},
+		{avtmor.NTLCurrent(70), 6, 3, 2, 1},
+	} {
+		rom, err := avtmor.Reduce(context.Background(), tc.w.System,
+			avtmor.WithOrders(tc.k1, tc.k2, tc.k3), avtmor.WithExpansion(tc.w.S0))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.w.Name, err)
+		}
+		if got := rom.Stats().Factorizations; got != tc.want {
+			t.Errorf("%s at (%d,%d,%d): %d factorizations, want %d", tc.w.Name, tc.k1, tc.k2, tc.k3, got, tc.want)
+		}
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"avtmor"
+	"avtmor/internal/assoc"
 	"avtmor/internal/circuits"
 	"avtmor/internal/core"
 	"avtmor/internal/exper"
@@ -378,6 +379,46 @@ func BenchmarkSolverKronSum3N102(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ss.Solve(w.S0, v); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// --- H3 resolvent chains (the Schur-coordinate ⊕³T recurrence) ---
+//
+// One H3 moment generation per op on a fresh realization, so the op
+// pays what one reduction pays: Schur(G1), Ĝ2 (quadratic path), the
+// factorization at s0, the k3 resolvent powers and the moment table.
+
+func BenchmarkH3Quadratic(b *testing.B) {
+	w := circuits.NTLVoltage(50)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := assoc.New(w.Sys)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.H3Moments(2, w.S0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkH3Cubic(b *testing.B) {
+	w := circuits.Varistor()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := assoc.New(w.Sys)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := r.Schur()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.H3MomentsCubic(kron.FromSchur3(s), 2, w.S0); err != nil {
 			b.Fatal(err)
 		}
 	}

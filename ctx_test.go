@@ -3,6 +3,7 @@ package avtmor_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -101,5 +102,38 @@ func TestReduceNORMCancel(t *testing.T) {
 	_, err := avtmor.ReduceNORM(ctx, w.System, avtmor.WithOrders(6, 3, 2), avtmor.WithExpansion(w.S0))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v", err)
+	}
+}
+
+// TestReduceCancelInH3 cancels a reduction while its H3 resolvent
+// chain runs: the Schur-coordinate ⊕³T recurrence polls ctx once per
+// outer column block, so Reduce must give up within a block's work.
+func TestReduceCancelInH3(t *testing.T) {
+	w := avtmor.NTLVoltage(50)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	canceledAt := make(chan time.Time, 1)
+	var once sync.Once
+	// Serial moment tasks run H1, H2, then H3; the progress event
+	// before the last task marks the start of the H3 chain.
+	progress := func(p avtmor.Progress) {
+		if p.Stage != "moments" || p.Done != p.Total-1 {
+			return
+		}
+		once.Do(func() {
+			time.AfterFunc(20*time.Millisecond, func() {
+				canceledAt <- time.Now()
+				cancel()
+			})
+		})
+	}
+	_, err := avtmor.Reduce(ctx, w.System,
+		avtmor.WithOrders(7, 4, 2), avtmor.WithExpansion(w.S0), avtmor.WithProgress(progress))
+	returned := time.Now()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if d := returned.Sub(<-canceledAt); d > time.Second {
+		t.Fatalf("Reduce took %v to honor a cancel inside H3", d)
 	}
 }

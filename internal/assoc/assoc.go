@@ -9,6 +9,20 @@
 // is never formed: every (G̃2 − τI)⁻¹ application is one Kronecker-sum
 // solve (a Sylvester equation over the cached Schur form of G1) plus one
 // shifted LU solve with G1 — O(n³) instead of O((n+n²)³).
+//
+// The H3 chains never leave the Schur coordinates of G1 = Q·T·Qᵀ. Their
+// seeds are transformed factor by factor in O(n³): (Qᵀb)^{⊗3} for the
+// cubic path, (Qᵀb) ⊗ [QᵀD1b; (Qᵀb)⊗(Qᵀb)] for the quadratic one. Each
+// resolvent power carries z̃ to the next with no transform. The H̃3
+// resolvent (G1⊕G̃2 − σI)⁻¹ is solved in three steps: the ⊕³T
+// recurrence on the n²×n bottom block, one product with
+// Ĝ2 = Qᵀ·G2·(Q⊗Q) (built once per realization), and one n×n
+// quasi-triangular Sylvester solve for the top block. H3 therefore
+// factors no (G1 − τI) per Schur eigenvalue; its only shifted LU is the
+// (G1 − s0·I) it shares with H1 and H2. A power leaves Schur
+// coordinates only for what its path consumes: the n×n top block
+// (quadratic, 2n³) or the entries of z at the nonzero columns of G3
+// (cubic, contracted against rows of Q).
 package assoc
 
 import (
@@ -24,6 +38,7 @@ import (
 	"avtmor/internal/qldae"
 	"avtmor/internal/schur"
 	"avtmor/internal/solver"
+	"avtmor/internal/sparse"
 )
 
 // Realization bundles a QLDAE with the cached factorizations used by every
@@ -49,6 +64,7 @@ type Realization struct {
 	s2     *kron.SumSolver2       // guarded by mu; (⊕²G1 − σI)⁻¹ via Schur(G1), lazy
 	s2err  error                  // guarded by mu
 	s2done bool                   // guarded by mu
+	g2h    *mat.Dense             // guarded by mu; Ĝ2 = Qᵀ·G2·(Q⊗Q), lazy
 	luCplx map[complex128]*lu.CLU // guarded by mu
 }
 
@@ -226,8 +242,8 @@ func (r *Realization) Btilde2(i, j int) []float64 {
 
 // Gt2 solves (G̃2 − τI)·z = rhs by block back-substitution:
 // w = (⊕²G1 − τI)⁻¹·g, then x = (G1 − τI)⁻¹·(f − G2·w). It implements
-// kron.ShiftedSolver so that the H̃3 operator (G1 ⊕ G̃2) can be handled by
-// the shared column recurrence.
+// kron.ShiftedSolver so that the complex H̃3 evaluation (SolveKronC) can
+// run the column recurrence over it.
 type Gt2 struct {
 	r *Realization
 }
@@ -239,8 +255,8 @@ func (g *Gt2) Dim() int {
 }
 
 // SolveShifted computes (G̃2 − τI)⁻¹·rhs for real τ. It is the inner
-// solve of every H2 Arnoldi step and of each H3 resolvent column, so
-// the ctx poll here is what makes those chains cancelable.
+// solve of every H2 Arnoldi step, so the ctx poll here is what makes
+// that chain cancelable.
 func (g *Gt2) SolveShifted(tau float64, rhs []float64) ([]float64, error) {
 	if err := g.r.ctx.Err(); err != nil {
 		return nil, err
@@ -363,18 +379,120 @@ func (g *Gt2) SolveShiftedC(tau complex128, rhs []complex128) ([]complex128, err
 	return out, nil
 }
 
-// SolveKron solves (G1⊕G̃2 − σI)·z = v, the resolvent of the H̃3
-// realization, via the shared column recurrence over Schur(G1) with inner
-// G̃2 solves. v has length n·(n+n²), stored as n column-stacked blocks.
-func (r *Realization) SolveKron(sigma float64, v []float64) ([]float64, error) {
-	s, err := r.Schur()
+// h3Schur is the H̃3 resolvent (G1⊕G̃2 − σI)⁻¹ in the Schur coordinates
+// of G1. With G1 = Q·T·Qᵀ, the similarity Q ⊗ diag(Q, Q⊗Q) turns
+// G1⊕G̃2 into T⊕[[T, Ĝ2], [0, ⊕²T]] with Ĝ2 = Qᵀ·G2·(Q⊗Q): every
+// diagonal block is quasi-triangular, so the resolvent needs no shifted
+// LU of G1 at all.
+type h3Schur struct {
+	s2  *kron.SumSolver2
+	s3  *kron.SumSolver3
+	g2h *mat.Dense
+}
+
+// h3Schur returns the Schur-coordinate H̃3 resolvent; Ĝ2 is built on
+// first use and cached for the life of the realization.
+func (r *Realization) h3Schur() (*h3Schur, error) {
+	s2, err := r.Sum2()
 	if err != nil {
 		return nil, err
 	}
-	return kron.ColumnSylvester(r.gt2, s, sigma, v)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.g2h == nil {
+		r.g2h = schurG2(r.Sys.G2, s2.Schur().Q)
+	}
+	return &h3Schur{s2: s2, s3: kron.FromSchur3(s2.Schur()), g2h: r.g2h}, nil
 }
 
-// SolveKronC is the complex-shift variant of SolveKron.
+// schurG2 returns Ĝ2 = Qᵀ·G2·(Q⊗Q) (n×n²) from the nonzeros of G2:
+// entry g at (i, a·n+b) adds g·(Q[a,:]⊗Q[b,:]) to row i of G2·(Q⊗Q),
+// and each nonzero row i of that product adds its outer product with
+// Q[i,:] to Ĝ2.
+func schurG2(g2 *sparse.CSR, q *mat.Dense) *mat.Dense {
+	n := q.R
+	n2 := n * n
+	out := mat.NewDense(n, n2)
+	row := make([]float64, n2)
+	for i := 0; i < n; i++ {
+		if g2.RowPtr[i] == g2.RowPtr[i+1] {
+			continue
+		}
+		mat.Zero(row)
+		for k := g2.RowPtr[i]; k < g2.RowPtr[i+1]; k++ {
+			g, c := g2.Val[k], g2.ColIdx[k]
+			qb := q.Row(c % n)
+			for a, qa := range q.Row(c / n) {
+				if ga := g * qa; ga != 0 {
+					mat.Axpy(ga, qb, row[a*n:(a+1)*n])
+				}
+			}
+		}
+		for ip, qi := range q.Row(i) {
+			if qi != 0 {
+				mat.Axpy(qi, row, out.Row(ip))
+			}
+		}
+	}
+	return out
+}
+
+// solve applies (G1⊕G̃2 − σI)⁻¹ in place in Schur coordinates. The
+// state is split into its top block (n blocks of n: the G1-rows of
+// every G̃2 column) and its bottom block (n blocks of n²), solved in
+// three steps:
+//
+//  1. the ⊕³T recurrence on the bottom block;
+//  2. top −= Ĝ2·bottom, one product per column block;
+//  3. one n×n quasi-triangular Sylvester solve (⊕²T − σI) for the top.
+//
+// ctx is polled once per outer column block of step 1.
+func (h *h3Schur) solve(ctx context.Context, sigma float64, top, bot []float64) error {
+	if err := h.s3.SolveSchur(ctx, sigma, bot); err != nil {
+		return err
+	}
+	mulSubBlocks(h.g2h, bot, top)
+	return h.s2.SolveSchur(sigma, top)
+}
+
+// mulSubBlocks computes top_p −= G·bot_p for every column block p
+// (top_p of length G.R, bot_p of length G.C). Rows of G are taken four
+// at a time so that each pass over bot_p feeds four dot products.
+func mulSubBlocks(g *mat.Dense, bot, top []float64) {
+	m, nc := g.R, g.C
+	nb := len(top) / m
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		g0, g1, g2, g3 := g.Row(i), g.Row(i+1), g.Row(i+2), g.Row(i+3)
+		for p := 0; p < nb; p++ {
+			bp := bot[p*nc : (p+1)*nc]
+			var s0, s1, s2, s3 float64
+			for c, v := range bp {
+				s0 += g0[c] * v
+				s1 += g1[c] * v
+				s2 += g2[c] * v
+				s3 += g3[c] * v
+			}
+			tp := top[p*m+i : p*m+i+4]
+			tp[0] -= s0
+			tp[1] -= s1
+			tp[2] -= s2
+			tp[3] -= s3
+		}
+	}
+	for ; i < m; i++ {
+		gi := g.Row(i)
+		for p := 0; p < nb; p++ {
+			top[p*m+i] -= mat.Dot(gi, bot[p*nc:(p+1)*nc])
+		}
+	}
+}
+
+// SolveKronC solves (G1⊕G̃2 − σI)·z = v for complex σ, the resolvent
+// of the H̃3 realization in original coordinates, via the column
+// recurrence over Schur(G1) with inner complex G̃2 solves. v has length
+// n·(n+n²), stored as n column-stacked blocks. It serves the
+// transfer-function evaluation, an oracle independent of h3Schur.
 func (r *Realization) SolveKronC(sigma complex128, v []complex128) ([]complex128, error) {
 	s, err := r.Schur()
 	if err != nil {

@@ -1,6 +1,7 @@
 package assoc
 
 import (
+	"context"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -103,6 +104,10 @@ func TestGt2SolveComplexAgainstDense(t *testing.T) {
 	}
 }
 
+// TestSolveKronAgainstDense checks the Schur-coordinate H̃3 resolvent
+// (h3Schur.solve) against a dense LU solve with G1⊕G̃2: v is mapped into
+// Schur coordinates by the dense similarity U = Q ⊗ diag(Q, Q⊗Q), split
+// into the top and bottom blocks, solved, and mapped back.
 func TestSolveKronAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 3
@@ -116,10 +121,44 @@ func TestSolveKronAgainstDense(t *testing.T) {
 	nn := big.R
 	sigma := 0.15
 	v := mat.RandVec(rng, nn)
-	got, err := r.SolveKron(sigma, v)
+
+	h, err := r.h3Schur()
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := h.s2.Schur().Q
+	n1 := n + n*n
+	p := mat.NewDense(n1, n1) // diag(Q, Q⊗Q)
+	qq := kron.Dense(q, q)
+	for i := 0; i < n1; i++ {
+		for j := 0; j < n1; j++ {
+			switch {
+			case i < n && j < n:
+				p.Set(i, j, q.At(i, j))
+			case i >= n && j >= n:
+				p.Set(i, j, qq.At(i-n, j-n))
+			}
+		}
+	}
+	u := kron.Dense(q, p)
+	vh := make([]float64, nn)
+	u.MulVecT(vh, v)
+	top := make([]float64, n*n)
+	bot := make([]float64, n*n*n)
+	for c := 0; c < n; c++ {
+		copy(top[c*n:(c+1)*n], vh[c*n1:c*n1+n])
+		copy(bot[c*n*n:(c+1)*n*n], vh[c*n1+n:(c+1)*n1])
+	}
+	if err := h.solve(context.Background(), sigma, top, bot); err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < n; c++ {
+		copy(vh[c*n1:c*n1+n], top[c*n:(c+1)*n])
+		copy(vh[c*n1+n:(c+1)*n1], bot[c*n*n:(c+1)*n*n])
+	}
+	got := make([]float64, nn)
+	u.MulVec(got, vh)
+
 	shifted := big.Clone()
 	for i := 0; i < nn; i++ {
 		shifted.Add(i, i, -sigma)

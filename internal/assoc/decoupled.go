@@ -52,7 +52,7 @@ func (r *Realization) SolvePi() (*mat.Dense, error) {
 			col[g2d.ColIdx[k]] = g2d.Val[k]
 		}
 	}
-	y, err := kron.ColumnSylvester(opT, sMinus, 0, v)
+	y, err := kron.ColumnSylvester(r.ctx, opT, sMinus, 0, v)
 	if err != nil {
 		return nil, fmt.Errorf("assoc: Π Sylvester equation: %w", err)
 	}

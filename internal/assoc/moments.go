@@ -2,11 +2,14 @@ package assoc
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"avtmor/internal/arnoldi"
 	"avtmor/internal/kron"
 	"avtmor/internal/mat"
 	"avtmor/internal/solver"
+	"avtmor/internal/sparse"
 )
 
 // Moment-space generation for the proposed NMOR scheme (§2.3): one Krylov
@@ -202,7 +205,7 @@ func (r *Realization) solveMomentTable(f solver.Factorization, ws [][]float64, d
 //	m_k = Σ_{i+j=k} M^{−(i+1)}·G2·out_j − M^{−(k+1)}·D1²b,
 //
 // where out_j is the symmetrized output of the j-th resolvent power of
-// the H̃3 realization (one (G1⊕G̃2 − s0·I)-solve per j).
+// the H̃3 realization (one (G1⊕G̃2 − s0·I)-solve per j, see h3Outputs).
 func (r *Realization) H3Moments(k3 int, s0 float64) ([][]float64, error) {
 	if k3 <= 0 {
 		return nil, nil
@@ -215,43 +218,15 @@ func (r *Realization) H3Moments(k3 int, s0 float64) ([][]float64, error) {
 		return nil, nil // H3 of the quadratic branch vanishes
 	}
 	n := sys.N
-	n2 := n + n*n
 	f, err := r.shiftedLU(s0)
 	if err != nil {
 		return nil, err
 	}
 	// w_j = G2·out_j for j = 0..k3-1.
-	ws := make([][]float64, 0, k3)
+	var ws [][]float64
 	if sys.G2 != nil {
-		bt := r.Btilde2(0, 0)
-		b := sys.B.Col(0)
-		z := make([]float64, n*n2)
-		for p := 0; p < n; p++ {
-			if b[p] == 0 {
-				continue
-			}
-			col := z[p*n2 : (p+1)*n2]
-			for q, v := range bt {
-				col[q] = b[p] * v
-			}
-		}
-		h3t := make([]float64, n*n)
-		for j := 0; j < k3; j++ {
-			z, err = r.SolveKron(s0, z)
-			if err != nil {
-				return nil, fmt.Errorf("assoc: H3 resolvent power %d: %w", j+1, err)
-			}
-			mat.Zero(h3t)
-			for jcol := 0; jcol < n; jcol++ {
-				for irow := 0; irow < n; irow++ {
-					top := z[jcol*n2+irow]
-					h3t[jcol*n+irow] += top
-					h3t[irow*n+jcol] += top
-				}
-			}
-			w := make([]float64, n)
-			sys.G2.MulVec(w, h3t)
-			ws = append(ws, w)
+		if ws, err = r.h3Outputs(k3, s0); err != nil {
+			return nil, err
 		}
 	}
 	// d2 = D1²·b.
@@ -288,10 +263,61 @@ func (r *Realization) H3Moments(k3 int, s0 float64) ([][]float64, error) {
 	return out, nil
 }
 
+// h3Outputs returns w_j = G2·out_j for j < k3, where out_j = X_j + X_jᵀ
+// and X_j is the n×n top block of (G1⊕G̃2 − s0·I)^{−(j+1)}·(b⊗b̃2). The
+// chain runs in the Schur coordinates of G1 from end to end: the seed
+// is transformed factor by factor, (Qᵀb) ⊗ [QᵀD1b; (Qᵀb)⊗(Qᵀb)], each
+// power is one h3Schur solve, and only the top block of each power
+// leaves Schur coordinates (X_jᵀ = Q·X̃_jᵀ·Qᵀ).
+func (r *Realization) h3Outputs(k3 int, s0 float64) ([][]float64, error) {
+	sys := r.Sys
+	n := sys.N
+	h, err := r.h3Schur()
+	if err != nil {
+		return nil, err
+	}
+	q := h.s2.Schur().Q
+	b := sys.B.Col(0)
+	bh := make([]float64, n)
+	q.MulVecT(bh, b)
+	dh := make([]float64, n)
+	if sys.D1 != nil && sys.D1[0] != nil {
+		d1b := make([]float64, n)
+		sys.D1[0].MulVec(d1b, b)
+		q.MulVecT(dh, d1b)
+	}
+	top := kron.VecKron(bh, dh)
+	bot := kron.VecKron(bh, kron.VecKron(bh, bh))
+	qt := q.T()
+	ws := make([][]float64, 0, k3)
+	for j := 0; j < k3; j++ {
+		if err := h.solve(r.ctx, s0, top, bot); err != nil {
+			return nil, fmt.Errorf("assoc: H3 resolvent power %d: %w", j+1, err)
+		}
+		// top read row-major is X̃ᵀ, so Q·top·Qᵀ is Xᵀ; out_j is
+		// symmetric and reads the same either way.
+		xt := q.Mul(&mat.Dense{R: n, C: n, A: top}).Mul(qt)
+		h3t := make([]float64, n*n)
+		for i := 0; i < n; i++ {
+			for p := 0; p < n; p++ {
+				h3t[i*n+p] = xt.At(i, p) + xt.At(p, i)
+			}
+		}
+		w := make([]float64, n)
+		sys.G2.MulVec(w, h3t)
+		ws = append(ws, w)
+	}
+	return ws, nil
+}
+
 // H3MomentsCubic returns the exact state-moment vectors of the cubic
 // associated transform A3(H3)(s) = (sI−G1)⁻¹G3(sI−⊕³G1)⁻¹b^{3⊗}:
 //
 //	m_k = Σ_{i+j=k} M^{−(i+1)}·G3·N3^{−(j+1)}·b^{3⊗},  N3 = ⊕³G1 − s0·I.
+//
+// The N3 chain runs in the Schur coordinates of s3: the seed is
+// (Qᵀb)^{⊗3}, each power is one ⊕³T recurrence, and each power leaves
+// Schur coordinates only at the nonzero columns of G3 (gatherQ3).
 func (r *Realization) H3MomentsCubic(s3 *kron.SumSolver3, k3 int, s0 float64) ([][]float64, error) {
 	if k3 <= 0 {
 		return nil, nil
@@ -308,19 +334,27 @@ func (r *Realization) H3MomentsCubic(s3 *kron.SumSolver3, k3 int, s0 float64) ([
 	if err != nil {
 		return nil, err
 	}
-	b := sys.B.Col(0)
-	z := kron.VecKron(kron.VecKron(b, b), b)
+	q := s3.Schur().Q
+	bh := make([]float64, n)
+	q.MulVecT(bh, sys.B.Col(0))
+	z := kron.VecKron(kron.VecKron(bh, bh), bh)
+	cols := nonzeroColumns(sys.G3)
+	zc := make([]float64, len(cols))
 	ws := make([][]float64, 0, k3)
 	for j := 0; j < k3; j++ {
-		if err := r.ctx.Err(); err != nil {
-			return nil, err
-		}
-		z, err = s3.Solve(s0, z)
-		if err != nil {
+		if err := s3.SolveSchur(r.ctx, s0, z); err != nil {
 			return nil, fmt.Errorf("assoc: cubic resolvent power %d: %w", j+1, err)
 		}
+		gatherQ3(q, z, cols, zc)
 		w := make([]float64, n)
-		sys.G3.MulVec(w, z)
+		g3 := sys.G3
+		for i := range w {
+			s := 0.0
+			for k := g3.RowPtr[i]; k < g3.RowPtr[i+1]; k++ {
+				s += g3.Val[k] * zc[sort.SearchInts(cols, g3.ColIdx[k])]
+			}
+			w[i] = s
+		}
 		ws = append(ws, w)
 	}
 	table, _, err := r.solveMomentTable(f, ws, nil, k3)
@@ -339,4 +373,46 @@ func (r *Realization) H3MomentsCubic(s3 *kron.SumSolver3, k3 int, s0 float64) ([
 		}
 	}
 	return out, nil
+}
+
+// nonzeroColumns returns the distinct column indices of m's nonzeros in
+// ascending order.
+func nonzeroColumns(m *sparse.CSR) []int {
+	cols := append([]int(nil), m.ColIdx...)
+	sort.Ints(cols)
+	return slices.Compact(cols)
+}
+
+// gatherQ3 writes zc[i] = ((Q⊗Q⊗Q)·z̃)[cols[i]] for ascending cols, with
+// index a·n²+b·n+d: the first Kronecker factor is contracted against
+// row a of Q once per distinct a (n³), the second once per distinct
+// (a, b) (n²), the third once per column (n).
+func gatherQ3(q *mat.Dense, z []float64, cols []int, zc []float64) {
+	n := q.R
+	n2 := n * n
+	ya := make([]float64, n2) // Σ_a' Q[a,a']·z̃[a',:,:]
+	yb := make([]float64, n)  // Σ_b' Q[b,b']·ya[b',:]
+	curA, curB := -1, -1
+	for i, c := range cols {
+		a, b, d := c/n2, c/n%n, c%n
+		if a != curA {
+			mat.Zero(ya)
+			for ap, qa := range q.Row(a) {
+				if qa != 0 {
+					mat.Axpy(qa, z[ap*n2:(ap+1)*n2], ya)
+				}
+			}
+			curA, curB = a, -1
+		}
+		if b != curB {
+			mat.Zero(yb)
+			for bp, qb := range q.Row(b) {
+				if qb != 0 {
+					mat.Axpy(qb, ya[bp*n:(bp+1)*n], yb)
+				}
+			}
+			curB = b
+		}
+		zc[i] = mat.Dot(q.Row(d), yb)
+	}
 }

@@ -140,6 +140,114 @@ func TestH3MomentsSpanTaylor(t *testing.T) {
 	}
 }
 
+// stableWithPairs returns a stable n×n matrix whose real Schur form has
+// both 2×2 blocks (complex pairs) and, for odd n, a 1×1 block: rotation
+// blocks with a mild random coupling, behind a random orthogonal
+// similarity so that Q is dense.
+func stableWithPairs(rng *rand.Rand, n int) *mat.Dense {
+	a := mat.NewDense(n, n)
+	i := 0
+	for ; i+1 < n; i += 2 {
+		re := -0.5 - rng.Float64()
+		im := 0.3 + rng.Float64()
+		a.Set(i, i, re)
+		a.Set(i+1, i+1, re)
+		a.Set(i, i+1, im)
+		a.Set(i+1, i, -im)
+	}
+	if i < n {
+		a.Set(i, i, -0.5-rng.Float64())
+	}
+	for r := 0; r < n; r++ {
+		for c := r + 1; c < n; c++ {
+			a.Add(r, c, 0.05*(2*rng.Float64()-1))
+		}
+	}
+	cols := make([][]float64, n)
+	for c := range cols {
+		cols[c] = mat.RandVec(rng, n)
+	}
+	v := qr.Orthonormalize(cols, 1e-12)
+	return v.Mul(a).Mul(v.T())
+}
+
+// TestH3MomentsSpanTaylorRandomized is the property form of the two
+// H3 span tests: over several seeds, n = 3…8 with forced complex Schur
+// pairs, and expansion points 0 and 0.3, the moment vectors of the
+// quadratic (with D1) and the cubic Schur-coordinate chains span the
+// Taylor coefficients of A3(H3). EvalAssocH3 and EvalAssocH3Cubic run
+// the complex original-coordinate column recurrence, so they are an
+// oracle independent of the chains under test.
+func TestH3MomentsSpanTaylorRandomized(t *testing.T) {
+	const k3 = 3
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(100 + seed))
+		for n := 3; n <= 8; n++ {
+			g1 := stableWithPairs(rng, n)
+			g2b := sparse.NewBuilder(n, n*n)
+			for i := 0; i < 3*n; i++ {
+				g2b.Add(rng.Intn(n), rng.Intn(n*n), 0.4*(2*rng.Float64()-1))
+			}
+			g3b := sparse.NewBuilder(n, n*n*n)
+			for i := 0; i < 2*n; i++ {
+				g3b.Add(rng.Intn(n), rng.Intn(n*n*n), 0.3*(2*rng.Float64()-1))
+			}
+			b, l := mat.RandDense(rng, n, 1), mat.RandDense(rng, 1, n)
+			quad := &qldae.System{N: n, G1: g1, G2: g2b.Build(), B: b, L: l,
+				D1: []*mat.Dense{mat.RandDense(rng, n, n).Scale(0.3)}}
+			cubic := &qldae.System{N: n, G1: g1, G3: g3b.Build(), B: b, L: l}
+			rq, err := New(quad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rc, err := New(cubic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := rc.Schur()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs := 0
+			for _, bl := range s.Blocks() {
+				if bl[1] == 2 {
+					pairs++
+				}
+			}
+			if pairs == 0 {
+				t.Fatalf("seed %d n=%d: no complex Schur pair", seed, n)
+			}
+			s3 := kron.FromSchur3(s)
+			for _, s0 := range []float64{0, 0.3} {
+				for _, tc := range []struct {
+					name    string
+					moments func() ([][]float64, error)
+					eval    func(complex128) ([]complex128, error)
+				}{
+					{"quadratic", func() ([][]float64, error) { return rq.H3Moments(k3, s0) }, rq.EvalAssocH3},
+					{"cubic", func() ([][]float64, error) { return rc.H3MomentsCubic(s3, k3, s0) },
+						func(s complex128) ([]complex128, error) { return rc.EvalAssocH3Cubic(s3, s) }},
+				} {
+					ms, err := tc.moments()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(ms) != k3 {
+						t.Fatalf("seed %d n=%d s0=%g %s: %d moments, want %d", seed, n, s0, tc.name, len(ms), k3)
+					}
+					coeffs := taylorCoeffs(tc.eval, complex(s0, 0), 0.05, k3, n, t)
+					for k, c := range coeffs {
+						if res := inSpan(ms[:k+1], c); res > 1e-5 {
+							t.Fatalf("seed %d n=%d s0=%g %s: Taylor coefficient %d not in moment span (residual %g)",
+								seed, n, s0, tc.name, k, res)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestH3MomentsCubicSpanTaylor(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	n := 4

@@ -290,11 +290,11 @@ func ReduceContext(ctx context.Context, sys *qldae.System, opt Options) (*ROM, e
 			if sys.G1 == nil {
 				return nil, errors.New("core: cubic H3 moments need a dense G1")
 			}
-			s3, err := kron.NewSumSolver3(sys.G1)
+			s, err := r.Schur()
 			if err != nil {
 				return nil, err
 			}
-			h3c, err := r.H3MomentsCubic(s3, opt.K3, opt.S0)
+			h3c, err := r.H3MomentsCubic(kron.FromSchur3(s), opt.K3, opt.S0)
 			if err != nil {
 				return nil, fmt.Errorf("core: cubic H3 moments: %w", err)
 			}

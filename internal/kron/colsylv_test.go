@@ -1,6 +1,7 @@
 package kron
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestColumnSylvesterAgainstDense(t *testing.T) {
 		}
 		sigma := 0.2 * rng.Float64()
 		v := mat.RandVec(rng, nL*nA)
-		got, err := ColumnSylvester(denseShiftedSolver{l}, sa, sigma, v)
+		got, err := ColumnSylvester(context.Background(), denseShiftedSolver{l}, sa, sigma, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func TestColumnSylvesterComplexPairs(t *testing.T) {
 		t.Fatal("test matrix produced no 2×2 blocks; vacuous")
 	}
 	v := mat.RandVec(rng, 3*4)
-	got, err := ColumnSylvester(denseShiftedSolver{l}, sa, 0.1, v)
+	got, err := ColumnSylvester(context.Background(), denseShiftedSolver{l}, sa, 0.1, v)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,17 @@
 //
 // which by Theorem 1 / Corollary 1 of the paper are exactly the associated
 // transforms of Kronecker products of resolvents. The solvers never form
-// the big operators: order 2 reduces to a quasi-triangular Sylvester
-// equation over one cached real Schur form of A, and order 3 to a
-// Bartels–Stewart recurrence whose inner solves are order-2 solves
-// (complexified across 2×2 Schur blocks).
+// the big operators. Each solve is split into the Q transform of the
+// cached real Schur form A = Q·T·Qᵀ and a triangular ⊕ᵈT recurrence:
+// order 2 is one quasi-triangular Sylvester equation, and order 3 a
+// Bartels–Stewart column recurrence over T whose inner solves are
+// order-2 Sylvester equations (complexified across 2×2 Schur blocks).
+// The recurrence is shared: SumSolver2.Solve, SumSolver3.Solve and
+// ColumnSylvester wrap it in their Q transforms, while SolveSchur
+// exposes it bare, so a chain of resolvent powers (the H3 moment
+// chains of package assoc) can stay in Schur coordinates from its
+// transformed seed to its last power and never pay a round trip
+// through Q per power or per column.
 //
 // Conventions (column-stacking): vec(X)[j·rows+i] = X[i][j], so
 // (A⊗B)·vec(X) = vec(B·X·Aᵀ) and (x⊗y)[p·len(y)+q] = x[p]·y[q].

@@ -1,6 +1,8 @@
 package kron
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -388,6 +390,30 @@ func BenchmarkSumSolver2N70(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ss.Solve(0, v); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestSumSolver3SolveSchurPollsCtx: the ⊕³T recurrence polls ctx before
+// each outer column block, so a dead context aborts it before any work
+// and leaves the input untouched.
+func TestSumSolver3SolveSchurPollsCtx(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	n := 4
+	ss, err := NewSumSolver3(rotationBlock(rng, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := mat.RandVec(rng, n*n*n)
+	orig := mat.CopyVec(z)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := ss.SolveSchur(ctx, 0.1, z); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	for i := range z {
+		if z[i] != orig[i] {
+			t.Fatal("canceled solve modified its input")
 		}
 	}
 }

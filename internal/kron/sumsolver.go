@@ -1,6 +1,8 @@
 package kron
 
 import (
+	"context"
+
 	"avtmor/internal/mat"
 	"avtmor/internal/schur"
 	"avtmor/internal/sylv"
@@ -46,6 +48,15 @@ func (ss *SumSolver2) Solve(sigma float64, v []float64) ([]float64, error) {
 	}
 	x := ss.s.Q.Mul(xt).Mul(ss.qt)
 	return Vec(x), nil
+}
+
+// SolveSchur solves (⊕²T − σI)·z̃ = ṽ in place in Schur coordinates,
+// z̃ = (Qᵀ⊗Qᵀ)·z: the quasi-triangular Sylvester equation
+// T·Y + Y·Tᵀ − σ·Y = Ṽ on z read as a row-major n×n Y (the operator
+// commutes with transposition, so either reading of vec is valid).
+func (ss *SumSolver2) SolveSchur(sigma float64, z []float64) error {
+	t := ss.s.T
+	return sylv.NewTriangular(t, t).SolveT(z, -sigma, z)
 }
 
 // SolveC computes z with (⊕²A − σI)·z = v for complex σ and v.
@@ -114,9 +125,12 @@ func mulRealRight(x *mat.CDense, b *mat.Dense) *mat.CDense {
 //
 //	(⊕²A)·X + X·Aᵀ − σ·X = V.
 //
-// Complex-conjugate 2×2 Schur blocks are handled by one complexified
-// order-2 solve per pair (real path) or by diagonalizing the block
-// (complex path).
+// In Schur coordinates z̃ = (Qᵀ⊗Qᵀ⊗Qᵀ)·z the whole recurrence is
+// triangular (the ⊕³T recurrence of SolveSchur): every inner order-2
+// solve is one quasi-triangular Sylvester equation, with one complex
+// solve per 2×2 Schur block of the outer factor. SolveC, for complex
+// shifts, keeps the original-coordinate column recurrence with inner
+// order-2 solves.
 type SumSolver3 struct {
 	n  int
 	s2 *SumSolver2
@@ -131,20 +145,54 @@ func NewSumSolver3(a *mat.Dense) (*SumSolver3, error) {
 	return &SumSolver3{n: a.R, s2: s2}, nil
 }
 
+// FromSchur3 builds an order-3 solver around an existing decomposition.
+func FromSchur3(s *schur.Schur) *SumSolver3 {
+	return &SumSolver3{n: s.T.R, s2: FromSchur(s)}
+}
+
 // N returns the base dimension n (the solver acts on length-n³ vectors).
 func (ss *SumSolver3) N() int { return ss.n }
 
-// Solve computes z with (⊕³A − σI)·z = v for real σ and v of length n³.
-// Viewing z = vec(X) with X ∈ R^{n²×n}, the equation is
-// (⊕²A)·X + X·Aᵀ − σ·X = V, handled by the shared column recurrence with
-// L = ⊕²A.
+// Schur exposes the cached decomposition of A.
+func (ss *SumSolver3) Schur() *schur.Schur { return ss.s2.s }
+
+// Solve computes z with (⊕³A − σI)·z = v for real σ and v of length n³:
+// the Q transform of all three modes around SolveSchur.
 func (ss *SumSolver3) Solve(sigma float64, v []float64) ([]float64, error) {
 	n := ss.n
 	if len(v) != n*n*n {
 		panic("kron: SumSolver3 length mismatch")
 	}
-	return ColumnSylvester(ss.s2, ss.s2.s, sigma, v)
+	z := apply3(ss.s2.s.Q, v)
+	if err := ss.SolveSchur(context.TODO(), sigma, z); err != nil {
+		return nil, err
+	}
+	return apply3(ss.s2.qt, z), nil
 }
+
+// SolveSchur solves (⊕³T − σI)·z̃ = ṽ in place in Schur coordinates
+// z̃ = (Qᵀ⊗Qᵀ⊗Qᵀ)·z, with no transform at all: z̃ is read as n column
+// blocks of length n² (the first Kronecker factor indexes the blocks),
+// and the column recurrence over T runs its inner ⊕²T solves as
+// quasi-triangular Sylvester equations on each block read as a
+// row-major n×n matrix. A chain of resolvent powers stays in these
+// coordinates from its transformed seed to its last power. ctx is
+// polled once per outer column block.
+func (ss *SumSolver3) SolveSchur(ctx context.Context, sigma float64, z []float64) error {
+	n := ss.n
+	if len(z) != n*n*n {
+		panic("kron: SumSolver3 SolveSchur length mismatch")
+	}
+	t := ss.s2.s.T
+	return recurrence(ctx, triOp{sylv.NewTriangular(t, t)}, t, ss.s2.s.Blocks(), sigma, z, n*n)
+}
+
+// triOp runs the inner (⊕²T − τI) solves of the ⊕³T recurrence in place.
+type triOp struct{ tr *sylv.Triangular }
+
+func (o triOp) solve(tau float64, w []float64) error { return o.tr.SolveT(w, -tau, w) }
+
+func (o triOp) solveC(tau complex128, w []complex128) error { return o.tr.SolveTC(w, -tau, w) }
 
 // SolveC computes z with (⊕³A − σI)·z = v for complex σ, v.
 func (ss *SumSolver3) SolveC(sigma complex128, v []complex128) ([]complex128, error) {
@@ -153,6 +201,31 @@ func (ss *SumSolver3) SolveC(sigma complex128, v []complex128) ([]complex128, er
 		panic("kron: SumSolver3 length mismatch")
 	}
 	return ColumnSylvesterC(ss.s2, ss.s2.s, sigma, v)
+}
+
+// apply3 returns (Mᵀ⊗Mᵀ⊗Mᵀ)·z for a length-n³ z, one mode at a time:
+// with M = Q it maps into Schur coordinates, with M = Qᵀ back out.
+func apply3(m *mat.Dense, z []float64) []float64 {
+	n := m.R
+	n2 := n * n
+	t := rightMulCols(z, m, n2) // first factor: the n² blocks
+	for a := 0; a < n; a++ {    // second factor: the length-n rows of each block
+		slab := t[a*n2 : (a+1)*n2]
+		copy(slab, rightMulCols(slab, m, n))
+	}
+	out := make([]float64, len(z)) // third factor: each contiguous fiber
+	for r := 0; r < n2; r++ {
+		orow := out[r*n : (r+1)*n]
+		for d, v := range t[r*n : (r+1)*n] {
+			if v == 0 {
+				continue
+			}
+			for j, mdj := range m.Row(d) {
+				orow[j] += v * mdj
+			}
+		}
+	}
+	return out
 }
 
 // rightMulCols computes the column-block product W = Z·M where Z is

@@ -15,62 +15,84 @@ import (
 
 // TrSylvNC solves A·X + X·B + σ·X = C with complex σ and C.
 func TrSylvNC(a, b *mat.Dense, sigma complex128, c *mat.CDense) (*mat.CDense, error) {
-	return trSylvCplx(a, b, sigma, c, false)
+	checkShapes(a, b, c.R, c.C)
+	x := mat.NewCDense(a.R, b.R)
+	if err := NewTriangular(a, b).solveCplx(x.A, sigma, c.A, false); err != nil {
+		return nil, err
+	}
+	return x, nil
 }
 
 // TrSylvTC solves A·X + X·Bᵀ + σ·X = C with complex σ and C.
 func TrSylvTC(a, b *mat.Dense, sigma complex128, c *mat.CDense) (*mat.CDense, error) {
-	return trSylvCplx(a, b, sigma, c, true)
+	checkShapes(a, b, c.R, c.C)
+	x := mat.NewCDense(a.R, b.R)
+	if err := NewTriangular(a, b).SolveTC(x.A, sigma, c.A); err != nil {
+		return nil, err
+	}
+	return x, nil
 }
 
-func trSylvCplx(a, b *mat.Dense, sigma complex128, c *mat.CDense, transB bool) (*mat.CDense, error) {
-	m, n := a.R, b.R
-	if a.C != m || b.C != n || c.R != m || c.C != n {
-		panic(fmt.Sprintf("sylv: shape mismatch A %d×%d B %d×%d C %d×%d", a.R, a.C, b.R, b.C, c.R, c.C))
+// solveCplx is solveReal over complex X and C; the real factor entries
+// enter every product as complex(v, 0), as in the textbook loop.
+func (t *Triangular) solveCplx(x []complex128, sigma complex128, c []complex128, transB bool) error {
+	a := t.a
+	m, n := a.R, t.b.R
+	if len(x) != m*n || len(c) != m*n {
+		panic(fmt.Sprintf("sylv: Triangular solve on %d and %d entries, want %d×%d", len(x), len(c), m, n))
 	}
-	x := mat.NewCDense(m, n)
-	ab := blocks(a)
-	bb := blocks(b)
-	lIdx := make([]int, len(bb))
-	for i := range lIdx {
-		if transB {
-			lIdx[i] = len(bb) - 1 - i
-		} else {
-			lIdx[i] = i
-		}
+	if len(t.xtc) != m*n {
+		t.xtc = make([]complex128, m*n)
 	}
+	xt := t.xtc
+	bop := t.bOp(transB)
 	var f [4]complex128
-	for _, li := range lIdx {
-		l0, ln := bb[li][0], bb[li][1]
-		for ki := len(ab) - 1; ki >= 0; ki-- {
-			k0, kn := ab[ki][0], ab[ki][1]
+	for li := range t.bb {
+		bl := t.bb[t.order(li, transB)]
+		l0, ln := bl[0], bl[1]
+		for ki := len(t.ab) - 1; ki >= 0; ki-- {
+			k0, kn := t.ab[ki][0], t.ab[ki][1]
 			for p := 0; p < kn; p++ {
+				arow := a.A[(k0+p)*m+k0+kn : (k0+p+1)*m]
+				xrow := x[(k0+p)*n : (k0+p+1)*n]
 				for q := 0; q < ln; q++ {
-					s := c.At(k0+p, l0+q)
-					for j := k0 + kn; j < m; j++ {
-						s -= complex(a.At(k0+p, j), 0) * x.At(j, l0+q)
+					s := c[(k0+p)*n+l0+q]
+					xcol := xt[(l0+q)*m+k0+kn : (l0+q+1)*m]
+					for j, ajv := range arow {
+						s -= complex(ajv, 0) * xcol[j]
 					}
+					brow := bop.A[(l0+q)*n : (l0+q+1)*n]
 					if transB {
-						for i := l0 + ln; i < n; i++ {
-							s -= x.At(k0+p, i) * complex(b.At(l0+q, i), 0)
+						xs, bs := xrow[l0+ln:], brow[l0+ln:]
+						for i, xv := range xs {
+							s -= xv * complex(bs[i], 0)
 						}
 					} else {
-						for i := 0; i < l0; i++ {
-							s -= x.At(k0+p, i) * complex(b.At(i, l0+q), 0)
+						xs, bs := xrow[:l0], brow[:l0]
+						for i, xv := range xs {
+							s -= xv * complex(bs[i], 0)
 						}
 					}
 					f[p*ln+q] = s
 				}
 			}
-			if err := solveSmallCplx(a, b, k0, kn, l0, ln, sigma, transB, f[:kn*ln], x); err != nil {
-				return nil, err
+			var sol [4]complex128
+			if err := solveSmallCplx(a, t.b, k0, kn, l0, ln, sigma, transB, f[:kn*ln], sol[:kn*ln]); err != nil {
+				return err
+			}
+			for p := 0; p < kn; p++ {
+				for q := 0; q < ln; q++ {
+					v := sol[p*ln+q]
+					x[(k0+p)*n+l0+q] = v
+					xt[(l0+q)*m+k0+p] = v
+				}
 			}
 		}
 	}
-	return x, nil
+	return nil
 }
 
-func solveSmallCplx(a, b *mat.Dense, k0, kn, l0, ln int, sigma complex128, transB bool, f []complex128, x *mat.CDense) error {
+func solveSmallCplx(a, b *mat.Dense, k0, kn, l0, ln int, sigma complex128, transB bool, f, sol []complex128) error {
 	sz := kn * ln
 	var sys [16]complex128
 	for p := 0; p < kn; p++ {
@@ -97,14 +119,8 @@ func solveSmallCplx(a, b *mat.Dense, k0, kn, l0, ln int, sigma complex128, trans
 			}
 		}
 	}
-	var sol [4]complex128
-	if !gaussC(sys[:sz*sz], f, sol[:sz], sz) {
+	if !gaussC(sys[:sz*sz], f, sol, sz) {
 		return ErrSingular
-	}
-	for p := 0; p < kn; p++ {
-		for q := 0; q < ln; q++ {
-			x.Set(k0+p, l0+q, sol[p*ln+q])
-		}
 	}
 	return nil
 }

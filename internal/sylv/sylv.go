@@ -43,70 +43,156 @@ func blocks(t *mat.Dense) [][2]int {
 // TrSylvN solves A·X + X·B + σ·X = C for upper quasi-triangular A (m×m)
 // and B (n×n), real σ, dense C (m×n). C is not modified.
 func TrSylvN(a, b *mat.Dense, sigma float64, c *mat.Dense) (*mat.Dense, error) {
-	return trSylvReal(a, b, sigma, c, false)
+	checkShapes(a, b, c.R, c.C)
+	x := mat.NewDense(a.R, b.R)
+	if err := NewTriangular(a, b).solveReal(x.A, sigma, c.A, false); err != nil {
+		return nil, err
+	}
+	return x, nil
 }
 
 // TrSylvT solves A·X + X·Bᵀ + σ·X = C (same shapes as TrSylvN).
 func TrSylvT(a, b *mat.Dense, sigma float64, c *mat.Dense) (*mat.Dense, error) {
-	return trSylvReal(a, b, sigma, c, true)
+	checkShapes(a, b, c.R, c.C)
+	x := mat.NewDense(a.R, b.R)
+	if err := NewTriangular(a, b).SolveT(x.A, sigma, c.A); err != nil {
+		return nil, err
+	}
+	return x, nil
 }
 
-func trSylvReal(a, b *mat.Dense, sigma float64, c *mat.Dense, transB bool) (*mat.Dense, error) {
+func checkShapes(a, b *mat.Dense, cr, cc int) {
 	m, n := a.R, b.R
-	if a.C != m || b.C != n || c.R != m || c.C != n {
-		panic(fmt.Sprintf("sylv: shape mismatch A %d×%d B %d×%d C %d×%d", a.R, a.C, b.R, b.C, c.R, c.C))
+	if a.C != m || b.C != n || cr != m || cc != n {
+		panic(fmt.Sprintf("sylv: shape mismatch A %d×%d B %d×%d C %d×%d", a.R, a.C, b.R, b.C, cr, cc))
 	}
-	x := mat.NewDense(m, n)
-	ab := blocks(a)
-	bb := blocks(b)
-	// Column-block processing order depends on the B variant.
-	lIdx := make([]int, len(bb))
-	for i := range lIdx {
-		if transB {
-			lIdx[i] = len(bb) - 1 - i // right to left
-		} else {
-			lIdx[i] = i // left to right
-		}
+}
+
+// Triangular solves the quasi-triangular equations against one fixed
+// pair (A, B) repeatedly. It caches the diagonal block partitions, Bᵀ
+// for variant N, and a transposed shadow of X, so that every inner
+// product of the back-substitution runs over contiguous row slices:
+// A's row against a shadow row (a column of X), and a row of X against
+// a row of B (or of Bᵀ). Each entry's summation order is that of the
+// textbook loop — the A terms by ascending column, then the B terms by
+// ascending index — so results are bit-identical to it. A Triangular
+// is not safe for concurrent use.
+type Triangular struct {
+	a, b   *mat.Dense
+	ab, bb [][2]int
+	bt     *mat.Dense   // Bᵀ, built on the first variant-N solve
+	xt     []float64    // shadow: xt[j·m+i] = X[i][j]
+	xtc    []complex128 // complex shadow
+}
+
+// NewTriangular prepares repeated solves with upper quasi-triangular A
+// (m×m) and B (n×n).
+func NewTriangular(a, b *mat.Dense) *Triangular {
+	if a.R != a.C || b.R != b.C {
+		panic(fmt.Sprintf("sylv: Triangular needs square factors, got %d×%d and %d×%d", a.R, a.C, b.R, b.C))
 	}
+	return &Triangular{a: a, b: b, ab: blocks(a), bb: blocks(b)}
+}
+
+// SolveT solves A·X + X·Bᵀ + σ·X = C. X and C are m×n row-major
+// slices; x may alias c (the solve then runs in place).
+func (t *Triangular) SolveT(x []float64, sigma float64, c []float64) error {
+	return t.solveReal(x, sigma, c, true)
+}
+
+// SolveTC is SolveT for complex σ and C.
+func (t *Triangular) SolveTC(x []complex128, sigma complex128, c []complex128) error {
+	return t.solveCplx(x, sigma, c, true)
+}
+
+// bOp returns the matrix whose row l0+q holds the B-coupling terms of
+// column l0+q of X: B itself for variant T, Bᵀ for variant N.
+func (t *Triangular) bOp(transB bool) *mat.Dense {
+	if transB {
+		return t.b
+	}
+	if t.bt == nil {
+		t.bt = t.b.T()
+	}
+	return t.bt
+}
+
+// order returns the column-block processing order: right to left for
+// variant T, left to right for variant N.
+func (t *Triangular) order(li int, transB bool) int {
+	if transB {
+		return len(t.bb) - 1 - li
+	}
+	return li
+}
+
+func (t *Triangular) solveReal(x []float64, sigma float64, c []float64, transB bool) error {
+	a := t.a
+	m, n := a.R, t.b.R
+	if len(x) != m*n || len(c) != m*n {
+		panic(fmt.Sprintf("sylv: Triangular solve on %d and %d entries, want %d×%d", len(x), len(c), m, n))
+	}
+	if len(t.xt) != m*n {
+		t.xt = make([]float64, m*n)
+	}
+	xt := t.xt
+	bop := t.bOp(transB)
 	var f [4]float64
-	for _, li := range lIdx {
-		l0, ln := bb[li][0], bb[li][1]
-		for ki := len(ab) - 1; ki >= 0; ki-- {
-			k0, kn := ab[ki][0], ab[ki][1]
+	for li := range t.bb {
+		bl := t.bb[t.order(li, transB)]
+		l0, ln := bl[0], bl[1]
+		for ki := len(t.ab) - 1; ki >= 0; ki-- {
+			k0, kn := t.ab[ki][0], t.ab[ki][1]
 			// RHS block F = C_kl − Σ_{j>k} A_kj X_jl − (X·B or X·Bᵀ terms).
 			for p := 0; p < kn; p++ {
+				arow := a.A[(k0+p)*m+k0+kn : (k0+p+1)*m]
+				xrow := x[(k0+p)*n : (k0+p+1)*n]
 				for q := 0; q < ln; q++ {
-					s := c.At(k0+p, l0+q)
+					s := c[(k0+p)*n+l0+q]
 					// Rows below the k block of A (A upper: columns j > k block).
-					for j := k0 + kn; j < m; j++ {
-						s -= a.At(k0+p, j) * x.At(j, l0+q)
+					xcol := xt[(l0+q)*m+k0+kn : (l0+q+1)*m]
+					xcol = xcol[:len(arow)]
+					for j, ajv := range arow {
+						s -= ajv * xcol[j]
 					}
+					brow := bop.A[(l0+q)*n : (l0+q+1)*n]
 					if transB {
 						// (X Bᵀ)_{k,l} = Σ_{i>l-block} X_ki·B_{l i} over processed cols.
-						for i := l0 + ln; i < n; i++ {
-							s -= x.At(k0+p, i) * b.At(l0+q, i)
+						xs, bs := xrow[l0+ln:], brow[l0+ln:]
+						bs = bs[:len(xs)]
+						for i, xv := range xs {
+							s -= xv * bs[i]
 						}
 					} else {
 						// (X B)_{k,l} = Σ_{i<l-block} X_ki·B_{i l}.
-						for i := 0; i < l0; i++ {
-							s -= x.At(k0+p, i) * b.At(i, l0+q)
+						xs, bs := xrow[:l0], brow[:l0]
+						for i, xv := range xs {
+							s -= xv * bs[i]
 						}
 					}
 					f[p*ln+q] = s
 				}
 			}
-			if err := solveSmallReal(a, b, k0, kn, l0, ln, sigma, transB, f[:kn*ln], x); err != nil {
-				return nil, err
+			var sol [4]float64
+			if err := solveSmallReal(a, t.b, k0, kn, l0, ln, sigma, transB, f[:kn*ln], sol[:kn*ln]); err != nil {
+				return err
+			}
+			for p := 0; p < kn; p++ {
+				for q := 0; q < ln; q++ {
+					v := sol[p*ln+q]
+					x[(k0+p)*n+l0+q] = v
+					xt[(l0+q)*m+k0+p] = v
+				}
 			}
 		}
 	}
-	return x, nil
+	return nil
 }
 
 // solveSmallReal solves the ≤2×2 by ≤2×2 block equation
-// A_kk·Xb + Xb·Bop + σ·Xb = F, with Bop = B_ll or B_llᵀ, and writes the
-// block into x.
-func solveSmallReal(a, b *mat.Dense, k0, kn, l0, ln int, sigma float64, transB bool, f []float64, x *mat.Dense) error {
+// A_kk·Xb + Xb·Bop + σ·Xb = F, with Bop = B_ll or B_llᵀ, into sol
+// (unknown x_{pq} at index p*ln+q).
+func solveSmallReal(a, b *mat.Dense, k0, kn, l0, ln int, sigma float64, transB bool, f, sol []float64) error {
 	sz := kn * ln
 	var sys [16]float64
 	// Unknown ordering: x_{pq} at index p*ln+q.
@@ -134,14 +220,8 @@ func solveSmallReal(a, b *mat.Dense, k0, kn, l0, ln int, sigma float64, transB b
 			}
 		}
 	}
-	var sol [4]float64
-	if !gauss(sys[:sz*sz], f, sol[:sz], sz) {
+	if !gauss(sys[:sz*sz], f, sol, sz) {
 		return ErrSingular
-	}
-	for p := 0; p < kn; p++ {
-		for q := 0; q < ln; q++ {
-			x.Set(k0+p, l0+q, sol[p*ln+q])
-		}
 	}
 	return nil
 }

@@ -158,15 +158,24 @@ func buildConfig(opts []Option) *config {
 	return c
 }
 
+// algVersion names the numerics that turn a request into ROM bytes. Any
+// change that can move a single bit of some ROM — a new summation
+// order, solver or coordinate system — bumps it, so artifacts written
+// by older code, on disk or on a replica, never share a cache key (and
+// hence a strong ETag) with the bytes a fresh reduction now produces.
+//
+//	1: the H3 resolvent chains run in the Schur coordinates of G1.
+const algVersion = 1
+
 // cacheKey canonicalizes a reduction request for the Reducer: the
-// system fingerprint plus every option that can change the resulting
-// ROM. Parallel and Progress are deliberately excluded — they change
-// wall-clock and observability, never the artifact. Float options are
-// keyed by their exact bit patterns.
+// algorithm version, the system fingerprint and every option that can
+// change the resulting ROM. Parallel and Progress are deliberately
+// excluded — they change wall-clock and observability, never the
+// artifact. Float options are keyed by their exact bit patterns.
 func (c *config) cacheKey(sys *System, method string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fp=%016x|m=%s|k=%d,%d,%d|auto=%016x|s0=%016x|drop=%016x|dec=%v|solver=%s|xp=",
-		sys.Fingerprint(), method, c.opt.K1, c.opt.K2, c.opt.K3,
+	fmt.Fprintf(&b, "alg=%d|fp=%016x|m=%s|k=%d,%d,%d|auto=%016x|s0=%016x|drop=%016x|dec=%v|solver=%s|xp=",
+		algVersion, sys.Fingerprint(), method, c.opt.K1, c.opt.K2, c.opt.K3,
 		math.Float64bits(c.autoTol), math.Float64bits(c.opt.S0),
 		math.Float64bits(c.opt.DropTol), c.opt.DecoupledH2, c.opt.Solver)
 	for _, p := range c.opt.ExtraPoints {

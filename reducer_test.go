@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -175,5 +176,19 @@ func TestReducerWaiterCancellation(t *testing.T) {
 	}
 	if st := rd2.Stats(); st.CachedROMs != 0 {
 		t.Fatalf("abandoned reduction was cached: %+v", st)
+	}
+}
+
+// TestRequestKeyCarriesAlgorithmVersion: every key names the numerics
+// that produced its bytes, so an artifact of older code — on disk or
+// on a replica — never answers under the strong ETag of a fresh
+// reduction that would now produce other bytes.
+func TestRequestKeyCarriesAlgorithmVersion(t *testing.T) {
+	w := avtmor.NTLCurrent(8)
+	opts := []avtmor.Option{avtmor.WithOrders(3, 2, 1), avtmor.WithExpansion(w.S0)}
+	for _, key := range []string{avtmor.RequestKey(w.System, opts...), avtmor.RequestKeyNORM(w.System, opts...)} {
+		if !strings.HasPrefix(key, "alg=1|") {
+			t.Errorf("key %q does not lead with the algorithm version alg=1", key)
+		}
 	}
 }
