@@ -3,7 +3,6 @@ package avtmorclient_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -15,6 +14,7 @@ import (
 	"time"
 
 	"avtmor/avtmorclient"
+	"avtmor/internal/promtext"
 	"avtmor/serve"
 )
 
@@ -68,18 +68,24 @@ func startFleet(t testing.TB, n int) *fleet {
 	return f
 }
 
-func fleetMetrics(t testing.TB, url string) map[string]any {
+// nodeMetric reads one node's /metrics through the strict exposition
+// parser and returns the named sample summed across label sets.
+func nodeMetric(t testing.TB, url, name string) float64 {
 	t.Helper()
-	resp, err := http.Get(url + "/metrics.json")
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
+	sc, err := promtext.Parse(resp.Body)
+	if err != nil {
+		t.Fatalf("%s/metrics: %v", url, err)
 	}
-	return m
+	v, ok := sc.Value(name)
+	if !ok {
+		t.Fatalf("%s emits no %s", url, name)
+	}
+	return v
 }
 
 // fleetForwards sums every node's outbound peer forwards — the relay
@@ -88,17 +94,7 @@ func fleetForwards(t testing.TB, f *fleet) float64 {
 	t.Helper()
 	var total float64
 	for _, u := range f.urls {
-		cl, ok := fleetMetrics(t, u)["cluster"].(map[string]any)
-		if !ok {
-			t.Fatalf("node %s has no cluster metrics", u)
-		}
-		peers, _ := cl["peers"].(map[string]any)
-		for _, pv := range peers {
-			m, _ := pv.(map[string]any)
-			if v, ok := m["forwards"].(float64); ok {
-				total += v
-			}
-		}
+		total += nodeMetric(t, u, "avtmor_cluster_peer_forwards_total")
 	}
 	return total
 }
@@ -107,8 +103,7 @@ func fleetReductions(t testing.TB, f *fleet) float64 {
 	t.Helper()
 	var total float64
 	for _, u := range f.urls {
-		v, _ := fleetMetrics(t, u)["reductions"].(float64)
-		total += v
+		total += nodeMetric(t, u, "avtmor_reductions_total")
 	}
 	return total
 }
@@ -142,7 +137,7 @@ func TestClientDirectPlacement(t *testing.T) {
 	// on: client-side and server-side rings agree.
 	owner := c.Owner(res.Key)
 	for i, addr := range f.addrs {
-		red, _ := fleetMetrics(t, f.urls[i])["reductions"].(float64)
+		red := nodeMetric(t, f.urls[i], "avtmor_reductions_total")
 		if (addr == owner) != (red == 1) {
 			t.Fatalf("node %s: reductions=%v, client says owner is %s", addr, red, owner)
 		}

@@ -16,11 +16,10 @@
 //	        [-access-log FILE] [-pprof HOST:PORT]
 //
 // Operability (docs/OPERATIONS.md has the full runbook): GET /metrics
-// serves Prometheus text exposition, GET /metrics.json the legacy
-// expvar JSON. -cost-budget bounds the total estimated cost of
-// concurrently admitted work (expensive reduces queue behind their own
-// kind while cheap ones keep flowing; the estimate is returned in
-// X-Avtmor-Cost). -quota attaches a token bucket to an API key (the
+// serves Prometheus text exposition. -cost-budget bounds the total
+// estimated cost of concurrently admitted work (expensive reduces
+// queue behind their own kind while cheap ones keep flowing; the
+// estimate is returned in X-Avtmor-Cost). -quota attaches a token bucket to an API key (the
 // X-Avtmor-Api-Key header); the form without KEY= sets the default
 // bucket shared by unkeyed clients. -access-log appends one JSON line
 // per request ("-" for stdout), each carrying the request ID that

@@ -219,12 +219,15 @@ func (c *Circuit) Build() (*qldae.System, error) {
 			return nil, fmt.Errorf("netlist: node %q has no grounded capacitance (singular descriptor)", c.Nodes[i])
 		}
 	}
-	// Input count.
+	// Input count. Channel indices come straight from the text and size
+	// the B staging below, so bound them by the I cards first: driving
+	// m channels takes at least m I cards.
 	m := 0
 	for _, s := range c.Sources {
-		if s.input+1 > m {
-			m = s.input + 1
+		if s.input >= len(c.Sources) {
+			return nil, fmt.Errorf("netlist: %s: input channel IN%d but only %d I card(s); number channels from IN0", s.name, s.input, len(c.Sources))
 		}
+		m = max(m, s.input+1)
 	}
 	if m == 0 {
 		return nil, fmt.Errorf("netlist: no inputs (add an I card)")

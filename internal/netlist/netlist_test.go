@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -233,4 +234,62 @@ func TestDCGainRC(t *testing.T) {
 
 func solveDense(g *mat.Dense, b []float64) ([]float64, error) {
 	return lu.Solve(g, b)
+}
+
+// oomBody names an input channel far past its one I card; sizing B
+// from that index used to demand an 8 GB staging matrix.
+const oomBody = "R1 1 0 1\nC1 1 0 1\nI1 1 0 IN1000000000 1\n.out 1\n"
+
+const clipper = "I1 0 n1 IN0 1.0\nC1 n1 0 1.0\nR1 n1 0 2.0\nD1 n1 0 1.0 0.05\nR12 n1 n2 1.0\nC2 n2 0 1.0\nR2 n2 0 2.0\n.out n2\n"
+
+func TestBuildBoundsInputChannels(t *testing.T) {
+	for _, src := range []string{
+		oomBody,
+		// An index whose +1 overflows must not slip past the bound.
+		"C1 1 0 1\nI1 1 0 IN0 1\nI2 1 0 IN9223372036854775807 1\n",
+	} {
+		c, err := Parse(strings.NewReader(src))
+		if err != nil {
+			t.Fatalf("%q: parse: %v", src, err)
+		}
+		if _, err := c.Build(); err == nil || !strings.Contains(err.Error(), "input channel") {
+			t.Fatalf("%q: Build err = %v, want an input-channel error", src, err)
+		}
+	}
+	// Two channels, each driven, stay legal.
+	c, err := Parse(strings.NewReader("C1 1 0 1\nR1 1 0 1\nI1 1 0 IN1 1\nI2 1 0 IN0 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := c.Build()
+	if err != nil || sys.Inputs() != 2 {
+		t.Fatalf("two-channel netlist: %v (inputs %d)", err, sys.Inputs())
+	}
+}
+
+// FuzzParseNetlist: no netlist text may panic Parse or Build; whatever
+// builds must be a Validate-clean system.
+func FuzzParseNetlist(f *testing.F) {
+	f.Add([]byte(oomBody))
+	f.Add([]byte(clipper))
+	f.Add([]byte(rcLine))
+	f.Add([]byte(diodeLine))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Build stages dense n×n matrices, so a long input can ask for
+		// gigabytes legitimately; 4 KiB keeps n to a few hundred states.
+		if len(data) > 4<<10 {
+			return
+		}
+		c, err := Parse(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		sys, err := c.Build()
+		if err != nil {
+			return
+		}
+		if err := sys.Validate(); err != nil {
+			t.Fatalf("Build returned an invalid system: %v", err)
+		}
+	})
 }

@@ -221,3 +221,38 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		t.Fatalf("round-trip after concurrent observes: %v", err)
 	}
 }
+
+// FuzzParse: no scraped document may panic the reader, and whatever it
+// accepts must honour the invariants its callers rely on.
+func FuzzParse(f *testing.F) {
+	r := NewRegistry()
+	r.Counter("avtmor_test_total", "a counter").Add(3)
+	r.CounterFunc("avtmor_test_peer_total", "per-peer", func() float64 { return 7 },
+		Label{Name: "peer", Value: "a:1\"\\\n"})
+	r.Histogram("avtmor_test_seconds", "a histogram", []float64{0.1, 1}).Observe(0.5)
+	var sb strings.Builder
+	r.WriteTo(&sb)
+	f.Add(sb.String())
+	f.Add("# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 3\n")
+	f.Add("x_total{a=\"1\",b=\"2\"} 1e3 1700000000000\n# HELP g h\ng NaN\n")
+	f.Fuzz(func(t *testing.T, doc string) {
+		s, err := Parse(strings.NewReader(doc))
+		if err != nil {
+			return
+		}
+		for _, name := range s.Families() {
+			fam := s.Family(name)
+			if fam == nil || fam.Name != name {
+				t.Fatalf("Families lists %q but Family returns %+v", name, fam)
+			}
+			for _, smp := range fam.Samples {
+				if _, ok := s.Value(smp.Name); !ok {
+					t.Fatalf("sample %s of %s has no Value", smp.Name, name)
+				}
+				if fam.Type == KindCounter && smp.Name == name && smp.Value < 0 {
+					t.Fatalf("accepted negative counter %s = %v", name, smp.Value)
+				}
+			}
+		}
+	})
+}

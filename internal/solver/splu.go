@@ -245,7 +245,6 @@ func factorCSRRecord(ctx context.Context, a *sparse.CSR, pivotTol float64, recor
 		rec.uptr, rec.uidx = f.uptr, f.uidx
 		rec.rowStepAll = rowStep
 		rec.rowCount = rowCount
-		rec.levelPtr, rec.levelSteps, rec.maxWidth = levelSchedule(f.uptr, f.uidx, n)
 		return f, rec, nil
 	}
 	return f, nil, nil

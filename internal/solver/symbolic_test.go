@@ -2,7 +2,6 @@ package solver
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -107,7 +106,7 @@ func TestRefactorBitExact(t *testing.T) {
 					}
 				}
 				av := withValues(a, vals)
-				f, ok, err := rec.Refactor(ctx, av, 0, 1)
+				f, ok, err := rec.Refactor(ctx, av, 0)
 				if err != nil {
 					t.Fatalf("n=%d mode=%d: refactor: %v", n, mode, err)
 				}
@@ -159,7 +158,7 @@ func TestRefactorShiftedPencil(t *testing.T) {
 		if !rec.matches(shifted) {
 			t.Fatalf("σ=%v: shifted pencil pattern does not match the recorded one", sigma)
 		}
-		f, ok, err := rec.Refactor(ctx, shifted, 0, 1)
+		f, ok, err := rec.Refactor(ctx, shifted, 0)
 		if err != nil {
 			t.Fatalf("σ=%v: %v", sigma, err)
 		}
@@ -215,7 +214,7 @@ func TestRefactorPivotRejection(t *testing.T) {
 	if err != nil || rec == nil {
 		t.Fatalf("record: %v (rec=%v)", err, rec != nil)
 	}
-	if _, ok, err := rec.Refactor(ctx, weak, tol, 1); err != nil || ok {
+	if _, ok, err := rec.Refactor(ctx, weak, tol); err != nil || ok {
 		// With tol 0.5 the dominant off-diagonal is the only eligible
 		// pivot for the weak values, disagreeing with the recorded
 		// diagonal choice.
@@ -263,92 +262,6 @@ func TestSymbolicCachePatternMiss(t *testing.T) {
 	}
 }
 
-// blockLinesCSR builds a block-diagonal matrix of independent RLC
-// lines: blocks disconnected components whose elimination levels
-// overlap, so the level schedule is wide (width ≈ blocks) — the shape
-// the level-parallel numeric phase exists for, which a single banded
-// line (a width-1 chain of levels) never exercises.
-func blockLinesCSR(blocks, sections int) *sparse.CSR {
-	line := rlcLineCSR(sections)
-	bn := line.Rows
-	b := sparse.NewBuilder(blocks*bn, blocks*bn)
-	for blk := 0; blk < blocks; blk++ {
-		off := blk * bn
-		for r := 0; r < bn; r++ {
-			for k := line.RowPtr[r]; k < line.RowPtr[r+1]; k++ {
-				b.Add(off+r, off+line.ColIdx[k], line.Val[k])
-			}
-		}
-	}
-	return b.Build()
-}
-
-// TestRefactorLevelParallelDeterminism proves the level-parallel
-// numeric phase is schedule-independent: refactoring a wide workload
-// with 1, 2, 4, and 8 workers yields factors bit-identical to each
-// other and to a fresh factorization. Run under -race in CI, this is
-// also the data-race witness for the per-level barrier discipline.
-func TestRefactorLevelParallelDeterminism(t *testing.T) {
-	ctx := context.Background()
-	a := blockLinesCSR(32, 8) // 480 states, level width ~32
-	if a.Rows < parallelRefactorMinN {
-		t.Fatalf("workload has %d states, below the parallel gate %d", a.Rows, parallelRefactorMinN)
-	}
-	_, rec, err := factorCSRRecord(ctx, a, 0, true)
-	if err != nil || rec == nil {
-		t.Fatalf("record: %v (rec=%v)", err, rec != nil)
-	}
-	if rec.maxWidth < parallelRefactorMinWidth {
-		t.Fatalf("level schedule width %d never engages the parallel phase", rec.maxWidth)
-	}
-	fresh, err := factorCSR(ctx, a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		f, ok, err := rec.Refactor(ctx, a, 0, workers)
-		if err != nil || !ok {
-			t.Fatalf("workers=%d: ok=%v err=%v", workers, ok, err)
-		}
-		sameFactor(t, f, fresh)
-	}
-}
-
-// TestRefactorLevelParallelRejection: a pivot rejection inside a
-// parallel level must surface as a clean ok=false, not a panic or a
-// torn result, regardless of which worker hits it.
-func TestRefactorLevelParallelRejection(t *testing.T) {
-	ctx := context.Background()
-	a := blockLinesCSR(32, 8)
-	_, rec, err := factorCSRRecord(ctx, a, 0, true)
-	if err != nil || rec == nil {
-		t.Fatalf("record: %v", err)
-	}
-	// The line's couplings (±1) dominate its diagonals (−0.02, −0.1),
-	// so the recorded pivots are coupling rows; blowing one block's
-	// diagonal up by 1e9 flips that block's pivots to the diagonal
-	// while every other block still agrees — the rejection races the
-	// rest of the level's honest work.
-	vals := append([]float64(nil), a.Val...)
-	for r := 0; r < 15; r++ {
-		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
-			if a.ColIdx[k] == r {
-				vals[k] *= 1e9
-			}
-		}
-	}
-	av := withValues(a, vals)
-	for _, workers := range []int{2, 8} {
-		f, ok, err := rec.Refactor(ctx, av, 0, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if ok || f != nil {
-			t.Fatalf("workers=%d: pivot-flipped block was not rejected", workers)
-		}
-	}
-}
-
 // shiftedLine is the 1023-state benchmark pencil: the shifted RLC-line
 // workload every solver bench in this repo is calibrated on.
 func shiftedLine() *sparse.CSR {
@@ -385,34 +298,9 @@ func BenchmarkFactorNumericOnly(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, ok, err := rec.Refactor(ctx, a, 0, 1)
+		_, ok, err := rec.Refactor(ctx, a, 0)
 		if err != nil || !ok {
 			b.Fatalf("ok=%v err=%v", ok, err)
 		}
-	}
-}
-
-// BenchmarkFactorParallel measures the level-parallel numeric phase on
-// a wide workload (64 independent 31-state blocks, level width ~64) at
-// fixed worker counts. On the single-CPU bench host p=4 measures pure
-// scheduling overhead — its ns/op is recorded ungated — while the
-// allocs/op of both entries gate the fan-out's allocation discipline.
-func BenchmarkFactorParallel(b *testing.B) {
-	a := blockLinesCSR(64, 16) // 1984 states
-	ctx := context.Background()
-	_, rec, err := factorCSRRecord(ctx, a, 0, true)
-	if err != nil || rec == nil {
-		b.Fatalf("record: %v", err)
-	}
-	for _, p := range []int{1, 4} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, ok, err := rec.Refactor(ctx, a, 0, p)
-				if err != nil || !ok {
-					b.Fatalf("ok=%v err=%v", ok, err)
-				}
-			}
-		})
 	}
 }

@@ -245,7 +245,7 @@ func romResult(digest string, rom *avtmor.ROM) wire.Result {
 // caller degrades to local compute for the group.
 func (s *Server) relayBatch(ctx context.Context, owner, rawQuery string, bodies [][]byte) ([]wire.Result, error) {
 	cs := s.cluster
-	pv := cs.peerVar(owner)
+	pv := cs.peer(owner)
 	pv.forwards.Add(1)
 	var frame bytes.Buffer
 	if err := wire.WriteBatchRequest(&frame, bodies); err != nil {

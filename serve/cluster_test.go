@@ -96,40 +96,6 @@ func (n *clusterNode) kill(t testing.TB) {
 	n.s.Close()
 }
 
-// metricsAny fetches /metrics.json without assuming flat values (the
-// cluster section is a nested object).
-func metricsAny(t testing.TB, base string) map[string]any {
-	t.Helper()
-	resp, err := http.Get(base + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-func num(t testing.TB, m map[string]any, key string) float64 {
-	t.Helper()
-	v, ok := m[key].(float64)
-	if !ok {
-		t.Fatalf("metric %q is %T (%v), want number", key, m[key], m[key])
-	}
-	return v
-}
-
-func sub(t testing.TB, m map[string]any, key string) map[string]any {
-	t.Helper()
-	v, ok := m[key].(map[string]any)
-	if !ok {
-		t.Fatalf("metric %q is %T, want object", key, m[key])
-	}
-	return v
-}
-
 // totalReductions sums the reductions counter across the fleet's
 // surviving nodes.
 func totalReductions(t testing.TB, nodes []*clusterNode) float64 {
@@ -139,7 +105,7 @@ func totalReductions(t testing.TB, nodes []*clusterNode) float64 {
 		if n.dead {
 			continue
 		}
-		total += num(t, metricsAny(t, n.url), "reductions")
+		total += metrics(t, n.url).get("avtmor_reductions_total")
 	}
 	return total
 }
@@ -153,7 +119,7 @@ func ownerIndex(t testing.TB, nodes []*clusterNode) int {
 		if n.dead {
 			continue
 		}
-		if num(t, metricsAny(t, n.url), "reductions") > 0 {
+		if metrics(t, n.url).get("avtmor_reductions_total") > 0 {
 			if owner >= 0 {
 				t.Fatalf("nodes %d and %d both reduced", owner, i)
 			}
@@ -197,20 +163,18 @@ func TestClusterSingleOwner(t *testing.T) {
 	// The owner's cluster counters show it answered for its keyspace;
 	// every other node shows the forward.
 	for i, n := range nodes {
-		cl := sub(t, metricsAny(t, n.url), "cluster")
+		m := metrics(t, n.url)
 		if i == owner {
-			if num(t, cl, "forwarded_serves") < 2 {
-				t.Fatalf("owner forwarded_serves = %v, want >= 2", cl["forwarded_serves"])
+			if got := m.get("avtmor_cluster_forwarded_serves_total"); got < 2 {
+				t.Fatalf("owner forwarded_serves = %v, want >= 2", got)
 			}
 			continue
 		}
-		peers := sub(t, cl, "peers")
-		pv := sub(t, peers, nodes[owner].addr)
-		if num(t, pv, "forwards") < 1 {
-			t.Fatalf("node %d never forwarded to the owner: %v", i, cl)
+		if got := m.peer("avtmor_cluster_peer_forwards_total", nodes[owner].addr); got < 1 {
+			t.Fatalf("node %d never forwarded to the owner: %v forwards", i, got)
 		}
-		if num(t, pv, "forward_errors") != 0 {
-			t.Fatalf("node %d saw forward errors against a healthy owner: %v", i, cl)
+		if got := m.peer("avtmor_cluster_peer_forward_errors_total", nodes[owner].addr); got != 0 {
+			t.Fatalf("node %d saw forward errors against a healthy owner: %v", i, got)
 		}
 	}
 
@@ -227,7 +191,7 @@ func TestClusterSingleOwner(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, bodies[0]) {
 			t.Fatalf("GET via node %d: %d, identical=%v", i, resp.StatusCode, bytes.Equal(got, bodies[0]))
 		}
-		if num(t, metricsAny(t, n.url), "store_roms") > 0 {
+		if metrics(t, n.url).get("avtmor_store_roms") > 0 {
 			stored++
 		}
 	}
@@ -294,17 +258,15 @@ func TestClusterOwnerDownFallback(t *testing.T) {
 		t.Fatalf("fallback artifact shape (q=%d m=%d) differs from the owner's (q=%d m=%d)",
 			gotROM.Order(), gotROM.Inputs(), refROM.Order(), refROM.Inputs())
 	}
-	m := metricsAny(t, nodes[entry].url)
-	if num(t, m, "reductions") != 1 {
-		t.Fatalf("entry node reductions = %v, want 1 (local fallback compute)", m["reductions"])
+	m := metrics(t, nodes[entry].url)
+	if got := m.get("avtmor_reductions_total"); got != 1 {
+		t.Fatalf("entry node reductions = %v, want 1 (local fallback compute)", got)
 	}
-	cl := sub(t, m, "cluster")
-	if num(t, cl, "fallback_local") < 1 {
-		t.Fatalf("fallback_local = %v, want >= 1", cl["fallback_local"])
+	if got := m.get("avtmor_cluster_fallback_local_total"); got < 1 {
+		t.Fatalf("fallback_local = %v, want >= 1", got)
 	}
-	pv := sub(t, sub(t, cl, "peers"), nodes[owner].addr)
-	if num(t, pv, "forward_errors") < 1 {
-		t.Fatalf("dead owner produced no forward_errors: %v", cl)
+	if got := m.peer("avtmor_cluster_peer_forward_errors_total", nodes[owner].addr); got < 1 {
+		t.Fatalf("dead owner produced no forward_errors: %v", got)
 	}
 
 	// The fallback copy now serves by-address requests on the entry
@@ -318,9 +280,8 @@ func TestClusterOwnerDownFallback(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(direct, got) {
 		t.Fatalf("GET after fallback: %d, identical=%v", resp.StatusCode, bytes.Equal(direct, got))
 	}
-	cl = sub(t, metricsAny(t, nodes[entry].url), "cluster")
-	if num(t, cl, "local_hits") < 1 {
-		t.Fatalf("local_hits = %v, want >= 1", cl["local_hits"])
+	if got := metrics(t, nodes[entry].url).get("avtmor_cluster_local_hits_total"); got < 1 {
+		t.Fatalf("local_hits = %v, want >= 1", got)
 	}
 }
 
@@ -344,7 +305,7 @@ func TestClusterLoopGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set(serve.HeaderForwarded, "test-forger")
-	before := num(t, metricsAny(t, nodes[nonOwner].url), "reductions")
+	before := metrics(t, nodes[nonOwner].url).get("avtmor_reductions_total")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -354,11 +315,11 @@ func TestClusterLoopGuard(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("forwarded request: %d: %s", resp.StatusCode, data)
 	}
-	m := metricsAny(t, nodes[nonOwner].url)
-	if num(t, m, "reductions") != before+1 {
-		t.Fatalf("forwarded request did not reduce locally: %v", m["reductions"])
+	m := metrics(t, nodes[nonOwner].url)
+	if got := m.get("avtmor_reductions_total"); got != before+1 {
+		t.Fatalf("forwarded request did not reduce locally: %v", got)
 	}
-	if num(t, sub(t, m, "cluster"), "forwarded_serves") < 1 {
+	if m.get("avtmor_cluster_forwarded_serves_total") < 1 {
 		t.Fatal("forwarded_serves not counted")
 	}
 }
@@ -389,8 +350,8 @@ func TestServeDrainingHealthz(t *testing.T) {
 		t.Fatal("Drain did not latch")
 	}
 	check(http.StatusServiceUnavailable, "draining")
-	if m := metrics(t, ts.URL); m["draining"] != 1 {
-		t.Fatalf("draining gauge = %v, want 1", m["draining"])
+	if got := metrics(t, ts.URL).get("avtmor_draining"); got != 1 {
+		t.Fatalf("draining gauge = %v, want 1", got)
 	}
 	// A draining node still serves traffic until the listener closes.
 	if _, key := postReduce(t, ts.URL, reducePath, clipper); key == "" {
@@ -428,7 +389,7 @@ func BenchmarkServeClusterForward(b *testing.B) {
 	body := fmt.Sprintf(clipperVar, 2.0)
 	_, _ = postReduce(b, nodes[0].url, reducePath, body)
 	owner := 0
-	if num(b, metricsAny(b, nodes[1].url), "reductions") > 0 {
+	if metrics(b, nodes[1].url).get("avtmor_reductions_total") > 0 {
 		owner = 1
 	}
 	entry := nodes[1-owner]
@@ -526,7 +487,7 @@ func TestClusterBatchMultiOwner(t *testing.T) {
 		t.Fatalf("fleet performed %v reductions for %d unique items", total, unique)
 	}
 	for _, n := range nodes {
-		got := num(t, metricsAny(t, n.url), "reductions")
+		got := metrics(t, n.url).get("avtmor_reductions_total")
 		if got != float64(ownedBy[n.addr]) {
 			t.Fatalf("node %s reduced %v items, ring owns %d", n.addr, got, ownedBy[n.addr])
 		}

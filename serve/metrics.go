@@ -1,23 +1,22 @@
 package serve
 
-// The Prometheus face of the server: GET /metrics renders an
-// internal/promtext registry whose counters and gauges read the same
-// cells /metrics.json reports (no double bookkeeping — the expvar
-// surface stays the single source of truth for counts), plus the
-// latency histograms that JSON surface never had. Cluster gauges that
-// must be mutually consistent (epoch, node count, replication factor)
-// are filled from ONE membership snapshot taken in an OnScrape
-// prelude, so a scrape racing a membership transition can never
-// observe a torn combination like the new epoch with the old node
-// count.
+// The metrics face of the server: GET /metrics renders one
+// internal/promtext registry. Counters that serve increments are
+// native registry cells; values another component owns (Reducer,
+// store, sweeper, worker pool) are read at scrape time through
+// CounterFunc/GaugeFunc. Cluster gauges that must be mutually
+// consistent (epoch, node count, replication factor) are filled from
+// ONE membership snapshot taken in an OnScrape prelude, so a scrape
+// racing a membership transition can never observe a torn combination
+// like the new epoch with the old node count.
 
 import (
-	"expvar"
 	"net/http"
 
 	"avtmor"
 	"avtmor/internal/promtext"
 	"avtmor/internal/replica"
+	"avtmor/internal/store"
 )
 
 // Histogram bucket layouts. Latency buckets span 100µs–60s (queue
@@ -38,26 +37,21 @@ type memSnap struct {
 	replicas int
 }
 
-// initProm builds the Prometheus registry. Counters bridge the
-// existing expvar cells via CounterFunc; histograms are the only new
-// state. Call after initVars and cluster construction.
+// initProm registers the server's counters, gauges and histograms on
+// s.prom. The cluster families are already there: newClusterState
+// registers them on the same registry.
 func (s *Server) initProm() {
-	r := promtext.NewRegistry()
-	s.prom = r
-
-	ivar := func(v *expvar.Int) func() float64 {
-		return func() float64 { return float64(v.Value()) }
-	}
-	r.CounterFunc("avtmor_reduce_total", "Reduce requests received (counted before quota and admission).", ivar(&s.reduceReqs))
-	r.CounterFunc("avtmor_simulate_total", "Simulation requests accepted for handling.", ivar(&s.simReqs))
-	r.CounterFunc("avtmor_rom_get_total", "By-address ROM GET requests.", ivar(&s.romGets))
-	r.CounterFunc("avtmor_batch_total", "Batch reduce requests.", ivar(&s.batchReqs))
-	r.CounterFunc("avtmor_batch_items_total", "Items across all batch requests.", ivar(&s.batchItems))
-	r.CounterFunc("avtmor_rejected_total", "Requests shed with 429 or 503 (backpressure, drain).", ivar(&s.rejected))
-	r.CounterFunc("avtmor_client_errors_total", "Requests answered with a 4xx other than backpressure.", ivar(&s.clientErrs))
-	r.CounterFunc("avtmor_server_errors_total", "Requests answered with a 5xx.", ivar(&s.srvErrs))
-	r.CounterFunc("avtmor_quota_rejected_total", "Requests shed because the client's quota bucket was dry.", ivar(&s.quotaRejected))
-	r.CounterFunc("avtmor_admission_rejected_total", "Requests shed because their cost did not fit the admission budget.", ivar(&s.admissionRejected))
+	r := s.prom
+	s.reduceReqs = r.Counter("avtmor_reduce_total", "Reduce requests received (counted before quota and admission).")
+	s.simReqs = r.Counter("avtmor_simulate_total", "Simulation requests accepted for handling.")
+	s.romGets = r.Counter("avtmor_rom_get_total", "By-address ROM GET requests.")
+	s.batchReqs = r.Counter("avtmor_batch_total", "Batch reduce requests.")
+	s.batchItems = r.Counter("avtmor_batch_items_total", "Items across all batch requests.")
+	s.rejected = r.Counter("avtmor_rejected_total", "Requests shed with 429 or 503 (backpressure, drain).")
+	s.clientErrs = r.Counter("avtmor_client_errors_total", "Requests answered with a 4xx other than backpressure.")
+	s.srvErrs = r.Counter("avtmor_server_errors_total", "Requests answered with a 5xx.")
+	s.quotaRejected = r.Counter("avtmor_quota_rejected_total", "Requests shed because the client's quota bucket was dry.")
+	s.admissionRejected = r.Counter("avtmor_admission_rejected_total", "Requests shed because their cost did not fit the admission budget.")
 
 	r.GaugeFunc("avtmor_workers", "Size of the reduce/simulate worker pool.",
 		func() float64 { return float64(s.cfg.Workers) })
@@ -109,20 +103,22 @@ func (s *Server) initProm() {
 	r.CounterFunc("avtmor_solver_numeric_refactors_total", "Numeric refactorizations reusing a symbolic analysis.",
 		rstat(func(st avtmor.ReducerStats) int64 { return st.NumericRefactors }))
 
+	sstat := func(f func(store.Stats) int64) func() float64 {
+		return func() float64 {
+			if s.st == nil {
+				return 0
+			}
+			return float64(f(s.st.Stats()))
+		}
+	}
 	r.GaugeFunc("avtmor_store_roms", "Artifacts resident in the on-disk store.",
-		func() float64 {
-			if s.st == nil {
-				return 0
-			}
-			return float64(s.st.Len())
-		})
+		sstat(func(st store.Stats) int64 { return int64(st.ROMs) }))
 	r.GaugeFunc("avtmor_store_quarantined", "Store files quarantined by the magic sniff.",
-		func() float64 {
-			if s.st == nil {
-				return 0
-			}
-			return float64(s.st.Stats().Quarantined)
-		})
+		sstat(func(st store.Stats) int64 { return st.Quarantined }))
+	r.CounterFunc("avtmor_store_loads_total", "Artifact loads from the on-disk store (hits and misses).",
+		sstat(func(st store.Stats) int64 { return st.Loads }))
+	r.CounterFunc("avtmor_store_raw_opens_total", "Stored artifacts served byte-for-byte without a parse.",
+		sstat(func(st store.Stats) int64 { return st.RawOpens }))
 
 	s.queueWait = r.Histogram("avtmor_queue_wait_seconds",
 		"Time an admitted job waited for a worker before executing.", latencyBuckets)
@@ -135,8 +131,7 @@ func (s *Server) initProm() {
 	s.batchWidth = r.Histogram("avtmor_batch_width",
 		"Items per batch request.", widthBuckets)
 
-	if cs := s.cluster; cs != nil {
-		cs.initProm(r)
+	if s.cluster != nil {
 		s.forwardLatency = r.Histogram("avtmor_forward_seconds",
 			"Time to relay a request to a ring peer and stream its response.", latencyBuckets)
 		s.pushLatency = r.Histogram("avtmor_replica_push_seconds",
@@ -147,9 +142,9 @@ func (s *Server) initProm() {
 // initProm registers the cluster gauges and counters. The
 // epoch/nodes/replicas trio reads the snap refreshed by the OnScrape
 // prelude — the torn-read fix: one State.View() per scrape, not three
-// independent reads racing a membership transition.
+// independent reads racing a membership transition. Per-peer counters
+// register as peers are first seen (clusterState.peer).
 func (cs *clusterState) initProm(r *promtext.Registry) {
-	cs.promReg = r
 	snap := &memSnap{}
 	r.OnScrape(func() {
 		ms, ring := cs.state.View()
@@ -164,19 +159,16 @@ func (cs *clusterState) initProm(r *promtext.Registry) {
 	r.GaugeFunc("avtmor_cluster_replicas", "Replication factor R under this node's membership view.",
 		func() float64 { return float64(snap.replicas) })
 
-	ivar := func(v *expvar.Int) func() float64 {
-		return func() float64 { return float64(v.Value()) }
-	}
-	r.CounterFunc("avtmor_cluster_owner_hits_total", "Requests served here because the ring placed the key here.", ivar(&cs.ownerHits))
-	r.CounterFunc("avtmor_cluster_forwarded_serves_total", "Requests served here because a peer forwarded them (loop guard).", ivar(&cs.forwardedServes))
-	r.CounterFunc("avtmor_cluster_local_hits_total", "Peer-owned requests served from a local copy.", ivar(&cs.localHits))
-	r.CounterFunc("avtmor_cluster_fallback_local_total", "Requests computed locally because every owner was unreachable or draining.", ivar(&cs.fallbackLocal))
-	r.CounterFunc("avtmor_cluster_replica_writes_total", "Replica copies accepted over PUT /v1/cluster/roms.", ivar(&cs.replicaWrites))
-	r.CounterFunc("avtmor_cluster_replica_pushes_total", "Replica copies pushed to co-replicas.", ivar(&cs.replicaPushes))
-	r.CounterFunc("avtmor_cluster_replica_push_errors_total", "Replica pushes that failed (anti-entropy will retry).", ivar(&cs.replicaPushErrors))
-	r.CounterFunc("avtmor_cluster_read_repairs_total", "Missing local copies restored from a co-replica during a GET.", ivar(&cs.readRepairs))
-	r.CounterFunc("avtmor_cluster_epoch_mismatches_total", "Requests or relays that met a peer on a different epoch.", ivar(&cs.epochMismatches))
-	r.CounterFunc("avtmor_cluster_orphans_marked_total", "Fallback artifacts tagged for anti-entropy handoff.", ivar(&cs.orphansMarked))
+	cs.ownerHits = r.Counter("avtmor_cluster_owner_hits_total", "Requests served here because the ring placed the key here.")
+	cs.forwardedServes = r.Counter("avtmor_cluster_forwarded_serves_total", "Requests served here because a peer forwarded them (loop guard).")
+	cs.localHits = r.Counter("avtmor_cluster_local_hits_total", "Peer-owned requests served from a local copy.")
+	cs.fallbackLocal = r.Counter("avtmor_cluster_fallback_local_total", "Requests computed locally because every owner was unreachable or draining.")
+	cs.replicaWrites = r.Counter("avtmor_cluster_replica_writes_total", "Replica copies accepted over PUT /v1/cluster/roms.")
+	cs.replicaPushes = r.Counter("avtmor_cluster_replica_pushes_total", "Replica copies pushed to co-replicas.")
+	cs.replicaPushErrors = r.Counter("avtmor_cluster_replica_push_errors_total", "Replica pushes that failed (anti-entropy will retry).")
+	cs.readRepairs = r.Counter("avtmor_cluster_read_repairs_total", "Missing local copies restored from a co-replica during a GET.")
+	cs.epochMismatches = r.Counter("avtmor_cluster_epoch_mismatches_total", "Requests or relays that met a peer on a different epoch.")
+	cs.orphansMarked = r.Counter("avtmor_cluster_orphans_marked_total", "Fallback artifacts tagged for anti-entropy handoff.")
 
 	sweep := func(f func(st replica.SweepStats) int64) func() float64 {
 		return func() float64 {
@@ -194,39 +186,6 @@ func (cs *clusterState) initProm(r *promtext.Registry) {
 		sweep(func(st replica.SweepStats) int64 { return st.Handoffs }))
 	r.CounterFunc("avtmor_cluster_membership_updates_total", "Membership views adopted from peers.",
 		sweep(func(st replica.SweepStats) int64 { return st.MembershipUpdates }))
-
-	// Per-peer counters for statically configured peers register now;
-	// dynamically joined peers register on first contact via peerVar.
-	cs.mu.Lock()
-	peers := make([]string, 0, len(cs.peers))
-	for addr := range cs.peers {
-		peers = append(peers, addr)
-	}
-	cs.mu.Unlock()
-	for _, addr := range peers {
-		cs.promPeer(addr)
-	}
-}
-
-// promPeer registers the per-peer forward counters as labeled children
-// of the peer counter families. Safe to call once per peer; peerVar
-// guards the once.
-func (cs *clusterState) promPeer(addr string) {
-	r := cs.promReg
-	if r == nil {
-		return
-	}
-	cs.mu.Lock()
-	pv := cs.peers[addr]
-	cs.mu.Unlock()
-	if pv == nil {
-		return
-	}
-	lbl := promtext.Label{Name: "peer", Value: addr}
-	r.CounterFunc("avtmor_cluster_peer_forwards_total", "Requests relayed to this peer.",
-		func() float64 { return float64(pv.forwards.Value()) }, lbl)
-	r.CounterFunc("avtmor_cluster_peer_forward_errors_total", "Relays to this peer that failed or found it draining.",
-		func() float64 { return float64(pv.forwardErrors.Value()) }, lbl)
 }
 
 // handlePromMetrics is GET /metrics: the Prometheus text exposition.

@@ -74,9 +74,9 @@ func TestQuotaExhaustion(t *testing.T) {
 		t.Fatalf("unlisted key should share the default bucket: %d, want 429", resp.StatusCode)
 	}
 
-	// The rejections are visible in the legacy JSON metrics.
-	if m := metrics(t, ts.URL); m["quota_rejected"] < 2 {
-		t.Fatalf("quota_rejected = %v, want >= 2", m["quota_rejected"])
+	// The rejections are visible in /metrics.
+	if got := metrics(t, ts.URL).get("avtmor_quota_rejected_total"); got < 2 {
+		t.Fatalf("quota_rejected = %v, want >= 2", got)
 	}
 }
 
@@ -120,8 +120,8 @@ func TestAdmissionEdgeInputs(t *testing.T) {
 	}
 
 	// No admission units leaked by either rejection.
-	if m := metrics(t, ts.URL); m["admission_in_use"] != 0 {
-		t.Fatalf("admission_in_use = %v after rejected requests, want 0", m["admission_in_use"])
+	if got := metrics(t, ts.URL).get("avtmor_admission_in_use"); got != 0 {
+		t.Fatalf("admission_in_use = %v after rejected requests, want 0", got)
 	}
 }
 
@@ -302,13 +302,5 @@ func TestPromExpositionCluster(t *testing.T) {
 	}
 	if reduceTotal < 3 {
 		t.Fatalf("fleet-wide avtmor_reduce_total = %v, want >= 3", reduceTotal)
-	}
-
-	// The legacy JSON surface still answers with the PR 5 schema.
-	m := metricsAny(t, nodes[0].url)
-	for _, key := range []string{"reductions", "cache_hits", "store_roms", "workers", "cluster"} {
-		if _, ok := m[key]; !ok {
-			t.Fatalf("/metrics.json lost key %q: %v", key, m)
-		}
 	}
 }

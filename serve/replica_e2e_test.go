@@ -170,19 +170,19 @@ func TestReplicatedWriteAndFailover(t *testing.T) {
 	// write-through push. Both owners — and nobody else — must end up
 	// holding the artifact.
 	waitFor(t, 5*time.Second, "write-through to both replicas", func() bool {
-		return num(t, metricsAny(t, primary.url), "store_roms") == 1 &&
-			num(t, metricsAny(t, follower.url), "store_roms") == 1
+		return metrics(t, primary.url).get("avtmor_store_roms") == 1 &&
+			metrics(t, follower.url).get("avtmor_store_roms") == 1
 	})
 	for _, n := range nodes {
 		if n == primary || n == follower {
 			continue
 		}
-		if got := num(t, metricsAny(t, n.url), "store_roms"); got != 0 {
+		if got := metrics(t, n.url).get("avtmor_store_roms"); got != 0 {
 			t.Fatalf("non-replica %s persisted %v artifacts", n.addr, got)
 		}
 	}
-	writes := num(t, sub(t, metricsAny(t, primary.url), "cluster"), "replica_writes") +
-		num(t, sub(t, metricsAny(t, follower.url), "cluster"), "replica_writes")
+	writes := metrics(t, primary.url).get("avtmor_cluster_replica_writes_total") +
+		metrics(t, follower.url).get("avtmor_cluster_replica_writes_total")
 	if writes != 1 {
 		t.Fatalf("replica_writes across the owners = %v, want exactly 1 (one pushed copy)", writes)
 	}
@@ -196,7 +196,7 @@ func TestReplicatedWriteAndFailover(t *testing.T) {
 	before := map[string]float64{}
 	for _, n := range nodes {
 		if n != primary {
-			before[n.addr] = num(t, metricsAny(t, n.url), "reductions")
+			before[n.addr] = metrics(t, n.url).get("avtmor_reductions_total")
 		}
 	}
 	primary.kill(t)
@@ -221,7 +221,7 @@ func TestReplicatedWriteAndFailover(t *testing.T) {
 		if n == primary {
 			continue
 		}
-		if got := num(t, metricsAny(t, n.url), "reductions"); got != before[n.addr] {
+		if got := metrics(t, n.url).get("avtmor_reductions_total"); got != before[n.addr] {
 			t.Fatalf("node %s recomputed after primary death (%v -> %v)", n.addr, before[n.addr], got)
 		}
 	}
@@ -244,8 +244,8 @@ func TestAntiEntropyLateJoiner(t *testing.T) {
 	for _, n := range nodes {
 		n := n
 		waitFor(t, 5*time.Second, "epoch propagation to "+n.addr, func() bool {
-			cl := sub(t, metricsAny(t, n.url), "cluster")
-			return num(t, cl, "epoch") == 2 && num(t, cl, "nodes") == 4
+			m := metrics(t, n.url)
+			return m.get("avtmor_cluster_epoch") == 2 && m.get("avtmor_cluster_nodes") == 4
 		})
 	}
 
@@ -274,11 +274,11 @@ func TestAntiEntropyLateJoiner(t *testing.T) {
 		}
 		return true
 	})
-	m := metricsAny(t, d.url)
-	if got := num(t, m, "reductions"); got != 0 {
+	m := metrics(t, d.url)
+	if got := m.get("avtmor_reductions_total"); got != 0 {
 		t.Fatalf("joiner recomputed %v artifacts instead of pulling", got)
 	}
-	if pulls := num(t, sub(t, m, "cluster"), "anti_entropy_pulls"); pulls < float64(len(owned)) {
+	if pulls := m.get("avtmor_cluster_anti_entropy_pulls_total"); pulls < float64(len(owned)) {
 		t.Fatalf("anti_entropy_pulls = %v, want >= %d", pulls, len(owned))
 	}
 	// Pulled copies are the owners' exact bytes: a GET served by the
@@ -356,7 +356,7 @@ func TestOrphanHandoff(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("forged forwarded reduce: %d", resp.StatusCode)
 	}
-	if got := num(t, sub(t, metricsAny(t, nonOwner.url), "cluster"), "orphans_marked"); got != 1 {
+	if got := metrics(t, nonOwner.url).get("avtmor_cluster_orphans_marked_total"); got != 1 {
 		t.Fatalf("orphans_marked = %v, want 1", got)
 	}
 
@@ -368,7 +368,7 @@ func TestOrphanHandoff(t *testing.T) {
 	waitFor(t, 10*time.Second, "orphan handoff", func() bool {
 		return hasKey(nodeKeys(t, owner.url, owner.addr), key) &&
 			!hasKey(nodeKeys(t, nonOwner.url, nonOwner.addr), key) &&
-			num(t, sub(t, metricsAny(t, nonOwner.url), "cluster"), "orphan_handoffs") >= 1
+			metrics(t, nonOwner.url).get("avtmor_cluster_orphan_handoffs_total") >= 1
 	})
 	// The artifact stayed reachable throughout — and still is, from
 	// anywhere.
@@ -430,8 +430,8 @@ func TestEpochJoinLeave(t *testing.T) {
 	for _, n := range nodes {
 		n := n
 		waitFor(t, 5*time.Second, "join epoch on "+n.addr, func() bool {
-			cl := sub(t, metricsAny(t, n.url), "cluster")
-			return num(t, cl, "epoch") == 2 && num(t, cl, "nodes") == 3
+			m := metrics(t, n.url)
+			return m.get("avtmor_cluster_epoch") == 2 && m.get("avtmor_cluster_nodes") == 3
 		})
 	}
 
@@ -454,8 +454,8 @@ func TestEpochJoinLeave(t *testing.T) {
 	for _, n := range nodes {
 		n := n
 		waitFor(t, 5*time.Second, "leave epoch on "+n.addr, func() bool {
-			cl := sub(t, metricsAny(t, n.url), "cluster")
-			return num(t, cl, "epoch") == 3 && num(t, cl, "nodes") == 2
+			m := metrics(t, n.url)
+			return m.get("avtmor_cluster_epoch") == 3 && m.get("avtmor_cluster_nodes") == 2
 		})
 	}
 }

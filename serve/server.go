@@ -13,7 +13,6 @@
 //	POST /v1/roms/{key}/simulate     workload JSON → transient result JSON/CSV
 //	GET  /healthz                    liveness
 //	GET  /metrics                    Prometheus text exposition (docs/METRICS.md)
-//	GET  /metrics.json               legacy expvar-style JSON counters
 //
 // Reductions and simulations execute on a bounded worker pool with a
 // bounded wait queue; overflow is answered 429 so load sheds at the
@@ -36,7 +35,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -140,13 +138,12 @@ type Server struct {
 	quotas *quota.Limiter // nil when no quotas configured
 	logMu  sync.Mutex     // serializes AccessLog lines
 
-	vars                             *expvar.Map
-	reduceReqs, simReqs, romGets     expvar.Int
-	batchReqs, batchItems            expvar.Int
-	rejected, clientErrs, srvErrs    expvar.Int
-	quotaRejected, admissionRejected expvar.Int
+	prom                             *promtext.Registry
+	reduceReqs, simReqs, romGets     *promtext.Counter
+	batchReqs, batchItems            *promtext.Counter
+	rejected, clientErrs, srvErrs    *promtext.Counter
+	quotaRejected, admissionRejected *promtext.Counter
 
-	prom           *promtext.Registry
 	queueWait      *promtext.Histogram
 	reduceLatency  *promtext.Histogram
 	simLatency     *promtext.Histogram
@@ -183,7 +180,8 @@ func New(cfg Config) (*Server, error) {
 		}
 		ropts = append(ropts, avtmor.WithROMStore(st))
 	}
-	cs, err := newClusterState(cfg)
+	prom := promtext.NewRegistry()
+	cs, err := newClusterState(cfg, prom)
 	if err != nil {
 		return nil, err
 	}
@@ -199,11 +197,11 @@ func New(cfg Config) (*Server, error) {
 		closed:  make(chan struct{}),
 		cluster: cs,
 		adm:     newAdmission(cfg.CostBudget),
+		prom:    prom,
 	}
 	if len(cfg.Quotas) > 0 {
 		s.quotas = quota.New(cfg.Quotas)
 	}
-	s.initVars()
 	s.initProm()
 	s.startSweeper()
 	for i := 0; i < cfg.Workers; i++ {
@@ -225,7 +223,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/roms/{key}/simulate", s.handleSimulate)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handlePromMetrics)
-	mux.HandleFunc("GET /metrics.json", s.handleMetrics)
 	var h http.Handler = mux
 	if s.cluster != nil {
 		mux.HandleFunc("GET /v1/cluster/keys", s.handleClusterKeys)
@@ -361,91 +358,6 @@ func (s *Server) remember(digest string, rom *avtmor.ROM) {
 			s.memOrder = s.memOrder[1:]
 		}
 	}
-}
-
-func (s *Server) initVars() {
-	m := new(expvar.Map).Init()
-	m.Set("reduce_requests", &s.reduceReqs)
-	m.Set("simulate_requests", &s.simReqs)
-	m.Set("rom_gets", &s.romGets)
-	m.Set("batch_requests", &s.batchReqs)
-	m.Set("batch_items", &s.batchItems)
-	m.Set("rejected", &s.rejected)
-	m.Set("client_errors", &s.clientErrs)
-	m.Set("server_errors", &s.srvErrs)
-	m.Set("quota_rejected", &s.quotaRejected)
-	m.Set("admission_rejected", &s.admissionRejected)
-	m.Set("workers", intVar(int64(s.cfg.Workers)))
-	m.Set("queue_capacity", intVar(int64(s.cfg.QueueDepth)))
-	gauge := func(name string, f func() any) { m.Set(name, expvar.Func(f)) }
-	gauge("queue_depth", func() any { return len(s.queue) })
-	gauge("workers_busy", func() any { return s.busy.Load() })
-	gauge("admission_budget", func() any { return s.adm.budget })
-	gauge("admission_in_use", func() any { return s.adm.used() })
-	rstat := func(f func(avtmor.ReducerStats) any) func() any {
-		return func() any { return f(s.reducer.Stats()) }
-	}
-	gauge("reductions", rstat(func(st avtmor.ReducerStats) any { return st.Reductions }))
-	gauge("cache_hits", rstat(func(st avtmor.ReducerStats) any { return st.CacheHits }))
-	gauge("store_hits", rstat(func(st avtmor.ReducerStats) any { return st.StoreHits }))
-	gauge("store_errors", rstat(func(st avtmor.ReducerStats) any { return st.StoreErrors }))
-	gauge("coalesced", rstat(func(st avtmor.ReducerStats) any { return st.Coalesced }))
-	gauge("solver_factorizations", rstat(func(st avtmor.ReducerStats) any { return st.Factorizations }))
-	gauge("solver_batch_solves", rstat(func(st avtmor.ReducerStats) any { return st.BatchSolves }))
-	gauge("solver_batch_columns", rstat(func(st avtmor.ReducerStats) any { return st.BatchColumns }))
-	gauge("solver_symbolic_analyses", rstat(func(st avtmor.ReducerStats) any { return st.SymbolicAnalyses }))
-	gauge("solver_numeric_refactors", rstat(func(st avtmor.ReducerStats) any { return st.NumericRefactors }))
-	gauge("evictions", rstat(func(st avtmor.ReducerStats) any { return st.Evictions }))
-	gauge("cached_roms", rstat(func(st avtmor.ReducerStats) any { return st.CachedROMs }))
-	gauge("inflight_reductions", rstat(func(st avtmor.ReducerStats) any { return st.InFlight }))
-	gauge("store_roms", func() any {
-		if s.st == nil {
-			return 0
-		}
-		return s.st.Len()
-	})
-	gauge("store_quarantined", func() any {
-		if s.st == nil {
-			return 0
-		}
-		return s.st.Stats().Quarantined
-	})
-	gauge("store_loads", func() any {
-		if s.st == nil {
-			return 0
-		}
-		return s.st.Stats().Loads
-	})
-	gauge("store_raw_opens", func() any {
-		if s.st == nil {
-			return 0
-		}
-		return s.st.Stats().RawOpens
-	})
-	gauge("draining", func() any {
-		if s.draining.Load() {
-			return 1
-		}
-		return 0
-	})
-	if s.cluster != nil {
-		m.Set("cluster", s.cluster.vars())
-	}
-	s.vars = m
-}
-
-// intVar is a constant expvar value.
-type intVar int64
-
-func (v intVar) String() string { return fmt.Sprintf("%d", int64(v)) }
-
-// handleMetrics renders every counter and gauge as one JSON object —
-// expvar's wire shape, served from per-Server vars instead of the
-// process-global expvar page so multiple Servers (and tests) never
-// collide on names.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintln(w, s.vars.String())
 }
 
 // countError buckets a non-200 status into the error counters.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"avtmor"
+	"avtmor/internal/promtext"
 	"avtmor/serve"
 )
 
@@ -64,18 +65,51 @@ func postReduce(t testing.TB, base, path, body string) ([]byte, string) {
 	return data, key
 }
 
-func metrics(t testing.TB, base string) map[string]float64 {
+// nodeMetrics is one GET /metrics scrape of a node, read through the
+// strict exposition parser.
+type nodeMetrics struct {
+	t    testing.TB
+	base string
+	sc   *promtext.Scrape
+}
+
+func metrics(t testing.TB, base string) nodeMetrics {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics.json")
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m map[string]float64
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
+	sc, err := promtext.Parse(resp.Body)
+	if err != nil {
+		t.Fatalf("%s/metrics: %v", base, err)
 	}
-	return m
+	return nodeMetrics{t: t, base: base, sc: sc}
+}
+
+// get returns the named sample summed across label sets; a name the
+// node does not emit fails the test.
+func (m nodeMetrics) get(name string) float64 {
+	m.t.Helper()
+	v, ok := m.sc.Value(name)
+	if !ok {
+		m.t.Fatalf("%s emits no %s", m.base, name)
+	}
+	return v
+}
+
+// peer returns the named per-peer counter for one peer address.
+func (m nodeMetrics) peer(name, addr string) float64 {
+	m.t.Helper()
+	if fam := m.sc.Family(name); fam != nil {
+		for _, smp := range fam.Samples {
+			if len(smp.Labels) == 1 && smp.Labels[0] == (promtext.Label{Name: "peer", Value: addr}) {
+				return smp.Value
+			}
+		}
+	}
+	m.t.Fatalf("%s emits no %s{peer=%q}", m.base, name, addr)
+	return 0
 }
 
 // TestServeDurabilityAcrossRestart is the subsystem acceptance check:
@@ -98,8 +132,8 @@ func TestServeDurabilityAcrossRestart(t *testing.T) {
 		t.Fatal("same-process re-request returned different bytes")
 	}
 	m := metrics(t, ts1.URL)
-	if m["reductions"] != 1 || m["cache_hits"] != 1 || m["store_roms"] != 1 {
-		t.Fatalf("first-process metrics: %v", m)
+	if red, hits, roms := m.get("avtmor_reductions_total"), m.get("avtmor_cache_hits_total"), m.get("avtmor_store_roms"); red != 1 || hits != 1 || roms != 1 {
+		t.Fatalf("first-process metrics: reductions %v, cache hits %v, store ROMs %v", red, hits, roms)
 	}
 	ts1.Close()
 	s1.Close()
@@ -116,11 +150,11 @@ func TestServeDurabilityAcrossRestart(t *testing.T) {
 		t.Fatal("restarted daemon served different bytes for the same key")
 	}
 	m = metrics(t, ts2.URL)
-	if m["reductions"] != 0 {
-		t.Fatalf("restarted daemon re-reduced instead of loading from store: %v", m)
+	if got := m.get("avtmor_reductions_total"); got != 0 {
+		t.Fatalf("restarted daemon re-reduced instead of loading from store: %v reductions", got)
 	}
-	if m["store_hits"] != 1 {
-		t.Fatalf("store hit not visible in /metrics: %v", m)
+	if got := m.get("avtmor_store_hits_total"); got != 1 {
+		t.Fatalf("store hit not visible in /metrics: %v store hits", got)
 	}
 
 	// The artifact is also addressable directly.
@@ -178,11 +212,11 @@ func TestServeConcurrentColdRequests(t *testing.T) {
 		}
 	}
 	m := metrics(t, ts.URL)
-	if m["reductions"] != 1 {
-		t.Fatalf("%v underlying reductions for %d identical requests, want exactly 1", m["reductions"], callers)
+	if got := m.get("avtmor_reductions_total"); got != 1 {
+		t.Fatalf("%v underlying reductions for %d identical requests, want exactly 1", got, callers)
 	}
-	if m["coalesced"]+m["cache_hits"] != callers-1 {
-		t.Fatalf("coalesced %v + cache hits %v, want %d", m["coalesced"], m["cache_hits"], callers-1)
+	if co, hits := m.get("avtmor_coalesced_total"), m.get("avtmor_cache_hits_total"); co+hits != callers-1 {
+		t.Fatalf("coalesced %v + cache hits %v, want %d", co, hits, callers-1)
 	}
 }
 
@@ -209,9 +243,8 @@ func TestServeSerializedSystemBody(t *testing.T) {
 	if !bytes.Equal(fromBinary, fromNetlist) {
 		t.Fatal("binary body produced different artifact bytes")
 	}
-	m := metrics(t, ts.URL)
-	if m["reductions"] != 1 {
-		t.Fatalf("binary twin re-reduced: %v", m)
+	if got := metrics(t, ts.URL).get("avtmor_reductions_total"); got != 1 {
+		t.Fatalf("binary twin re-reduced: %v reductions", got)
 	}
 }
 
@@ -286,6 +319,12 @@ func TestServeErrors(t *testing.T) {
 	if code, msg := post("/v1/reduce", "R1 notanode\n"); code != http.StatusBadRequest {
 		t.Fatalf("bad netlist: %d %s", code, msg)
 	}
+	// A 47-byte body whose input channel index once sized an 8 GB
+	// matrix: refused at parse time, and the daemon stays up (the
+	// /healthz probe below).
+	if code, msg := post("/v1/reduce", "R1 1 0 1\nC1 1 0 1\nI1 1 0 IN1000000000 1\n.out 1\n"); code != http.StatusBadRequest || !strings.Contains(msg, "input channel") {
+		t.Fatalf("out-of-range input channel: %d %s", code, msg)
+	}
 	if code, msg := post("/v1/reduce", ""); code != http.StatusBadRequest {
 		t.Fatalf("empty body: %d %s", code, msg)
 	}
@@ -337,6 +376,9 @@ func TestServeErrors(t *testing.T) {
 	}
 	if code := get("/healthz"); code != http.StatusOK {
 		t.Fatalf("healthz: %d", code)
+	}
+	if code := get("/metrics.json"); code != http.StatusNotFound {
+		t.Fatalf("retired JSON metrics surface: %d, want 404", code)
 	}
 	if code, _ := post("/v1/roms/deadbeef/simulate", "{}"); code != http.StatusNotFound {
 		t.Fatal("simulate on unknown ROM must 404")

@@ -75,14 +75,14 @@ func TestServeGetROMConditional(t *testing.T) {
 		t.Fatalf("ETag = %q, want %q", et, wantETag)
 	}
 	m := metrics(t, ts.URL)
-	if m["store_raw_opens"] < 1 {
-		t.Fatalf("store_raw_opens = %v, want >= 1 (zero-copy path not taken)", m["store_raw_opens"])
+	rawBefore := m.get("avtmor_store_raw_opens_total")
+	if rawBefore < 1 {
+		t.Fatalf("store_raw_opens = %v, want >= 1 (zero-copy path not taken)", rawBefore)
 	}
 
 	// Revalidation: 304, empty body, and — the acceptance criterion —
 	// zero store Loads on the conditional path.
-	loadsBefore := m["store_loads"]
-	rawBefore := m["store_raw_opens"]
+	loadsBefore := m.get("avtmor_store_loads_total")
 	resp, body = getROM(t, ts.URL, key, wantETag)
 	if resp.StatusCode != http.StatusNotModified {
 		t.Fatalf("conditional GET: %d, want 304", resp.StatusCode)
@@ -94,11 +94,11 @@ func TestServeGetROMConditional(t *testing.T) {
 		t.Fatalf("304 ETag = %q, want %q", et, wantETag)
 	}
 	m = metrics(t, ts.URL)
-	if m["store_loads"] != loadsBefore {
-		t.Fatalf("304 path parsed the artifact: store_loads %v -> %v", loadsBefore, m["store_loads"])
+	if got := m.get("avtmor_store_loads_total"); got != loadsBefore {
+		t.Fatalf("304 path parsed the artifact: store_loads %v -> %v", loadsBefore, got)
 	}
-	if m["store_raw_opens"] != rawBefore {
-		t.Fatalf("304 path opened the file: store_raw_opens %v -> %v", rawBefore, m["store_raw_opens"])
+	if got := m.get("avtmor_store_raw_opens_total"); got != rawBefore {
+		t.Fatalf("304 path opened the file: store_raw_opens %v -> %v", rawBefore, got)
 	}
 
 	// The weak form and an etag list revalidate too.
@@ -138,8 +138,8 @@ func TestServeGetROMCorruptFile(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("corrupted artifact: %d: %s, want 404", resp.StatusCode, body)
 	}
-	if m := metrics(t, ts.URL); m["store_quarantined"] != 1 {
-		t.Fatalf("store_quarantined = %v, want 1", m["store_quarantined"])
+	if got := metrics(t, ts.URL).get("avtmor_store_quarantined"); got != 1 {
+		t.Fatalf("store_quarantined = %v, want 1", got)
 	}
 }
 
@@ -203,11 +203,11 @@ func TestServeBatchReduce(t *testing.T) {
 	}
 
 	m := metrics(t, ts.URL)
-	if m["reductions"] != 2 {
-		t.Fatalf("reductions = %v, want 2 (one per good item)", m["reductions"])
+	if got := m.get("avtmor_reductions_total"); got != 2 {
+		t.Fatalf("reductions = %v, want 2 (one per good item)", got)
 	}
-	if m["batch_requests"] != 1 || m["batch_items"] != 3 {
-		t.Fatalf("batch counters: requests=%v items=%v", m["batch_requests"], m["batch_items"])
+	if reqs, items := m.get("avtmor_batch_total"), m.get("avtmor_batch_items_total"); reqs != 1 || items != 3 {
+		t.Fatalf("batch counters: requests=%v items=%v", reqs, items)
 	}
 
 	// Sequential submission of the same inputs: identical addresses,
@@ -221,8 +221,8 @@ func TestServeBatchReduce(t *testing.T) {
 	if !bytes.Equal(seq1, results[0].Body) || !bytes.Equal(seq2, results[2].Body) {
 		t.Fatal("sequential ROM bytes differ from batch ROM bytes")
 	}
-	if m := metrics(t, ts.URL); m["reductions"] != 2 {
-		t.Fatalf("sequential follow-up re-reduced: %v", m["reductions"])
+	if got := metrics(t, ts.URL).get("avtmor_reductions_total"); got != 2 {
+		t.Fatalf("sequential follow-up re-reduced: %v", got)
 	}
 
 	// Malformed frames are a whole-request 400, not a hang.
@@ -304,11 +304,11 @@ func TestClusterStallingPeer(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Fatalf("fallback took %v; the stalled owner pinned the relay", elapsed)
 	}
-	cl := sub(t, metricsAny(t, "http://"+addr), "cluster")
-	if num(t, sub(t, sub(t, cl, "peers"), cluster.Normalize(stallAddr)), "forward_errors") < 1 {
-		t.Fatalf("stalled owner produced no forward_errors: %v", cl)
+	m := metrics(t, "http://"+addr)
+	if got := m.peer("avtmor_cluster_peer_forward_errors_total", cluster.Normalize(stallAddr)); got < 1 {
+		t.Fatalf("stalled owner produced no forward_errors: %v", got)
 	}
-	if num(t, cl, "fallback_local") < 1 {
-		t.Fatalf("fallback_local = %v, want >= 1", cl["fallback_local"])
+	if got := m.get("avtmor_cluster_fallback_local_total"); got < 1 {
+		t.Fatalf("fallback_local = %v, want >= 1", got)
 	}
 }
